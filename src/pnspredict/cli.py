@@ -8,6 +8,7 @@ endings, header row) plus a resolved-config copy per run.
 
 from __future__ import annotations
 
+import ast
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +18,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .approximation import (TestSignal, approx_operator, builtin_signal,
-                            convergence_study, lp_error)
+from .approximation import (TestSignal, _default_interval, approx_operator,
+                            builtin_signal, convergence_study, lp_error)
 from .generators import (BSplineGenerator, DaubechiesGenerator,
                          stability_bounds)
 from .kernels import (KernelSet, ResidualError, SingularSamplePointError,
@@ -227,14 +228,57 @@ def _signal_from_file(path: str) -> TestSignal:
     return TestSignal(Path(path).stem, (f,), "tabulated")
 
 
+_EXPR_BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+                ast.Div: np.true_divide, ast.Pow: np.power, ast.Mod: np.mod}
+_EXPR_UNOPS = {ast.UAdd: np.positive, ast.USub: np.negative}
+_EXPR_CONSTANTS = {"pi": np.pi, "e": np.e}
+
+
+def _expr_value(node, t):
+    """Evaluate a whitelisted expression tree at t.
+
+    Allowed: the name t, numeric literals, pi and e, arithmetic and unary
+    operators, and calls np.<ufunc>(args) with positional inputs only.
+    Anything else raises ConfigError, so config text runs no other code.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name):
+        if node.id == "t":
+            return t
+        if node.id in _EXPR_CONSTANTS:
+            return _EXPR_CONSTANTS[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
+        return _EXPR_BINOPS[type(node.op)](_expr_value(node.left, t),
+                                           _expr_value(node.right, t))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNOPS:
+        return _EXPR_UNOPS[type(node.op)](_expr_value(node.operand, t))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+            and not node.keywords):
+        fn = getattr(np, node.func.attr, None)
+        # at most nin arguments: a further positional one would be `out`
+        if (isinstance(fn, np.ufunc) and len(node.args) == fn.nin
+                and not any(isinstance(a, ast.Starred) for a in node.args)):
+            return fn(*(_expr_value(a, t) for a in node.args))
+    raise ConfigError(f"signal.expr: {ast.unparse(node)!r} is not allowed "
+                      "(use t, numbers, pi, e, arithmetic and np.<ufunc> calls)")
+
+
 def _signal_from_expr(expr: str) -> TestSignal:
+    try:
+        tree = ast.parse(expr, mode="eval").body
+    except (SyntaxError, RecursionError) as exc:
+        raise ConfigError(f"signal.expr is not an expression: {exc}")
+
     def f(t):
-        return np.asarray(eval(expr, {"np": np, "__builtins__": {}},
-                               {"t": np.asarray(t, dtype=float)}), dtype=float)
+        t = np.asarray(t, dtype=float)
+        return np.broadcast_to(np.asarray(_expr_value(tree, t), dtype=float),
+                               t.shape)
 
     try:
         f(np.array([0.0, 0.5]))
-    except Exception as exc:
+    except (ArithmeticError, RecursionError, TypeError, ValueError) as exc:
         raise ConfigError(f"signal.expr failed to evaluate: {exc}")
     return TestSignal("expr", (f,), "smooth")
 
@@ -532,7 +576,7 @@ def cmd_predict(config_path, out_dir, grid_n, quiet, kernels_path):
                      f"{cfg.scheme.rho * bound} (|window| <= {bound})")
         report = reproduction_order(ps, tol=_moment_tol(cfg.gen))
         _echo(quiet, f"reproduction order kappa = {report.kappa}")
-        a, b = (-4.0, 6.0) if cfg.signal.smoothness == "jump" else (-8.0, 10.0)
+        a, b = _default_interval(cfg.signal)
         errors = []
         for W in cfg.W_list:
             ts = np.linspace(a, b, grid_n)

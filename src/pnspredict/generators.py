@@ -4,12 +4,17 @@ A generator phi is a compactly supported function on [0, mu] whose integer
 shifts span the space V(phi).  Three kinds are provided: cardinal B-splines
 Q_m (closed form), Daubechies scaling functions (dyadic refinement table),
 and user-supplied tabulated functions (linear interpolation).
+
+Each generator also reads phi one unit piece at a time: `piece(q, u)` is
+phi(q + u) for an integer q and u in [0, 1].  `_expand` builds on it to
+evaluate a whole expansion sum_j c_j phi(x - s_j) in one pass.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import comb, factorial, sqrt
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import ceil, comb, factorial, sqrt
 
 import numpy as np
 
@@ -91,6 +96,10 @@ class Generator:
     def eval(self, t, s: int = 0):
         raise NotImplementedError
 
+    def piece(self, q: int, u: np.ndarray) -> np.ndarray:
+        """phi(q + u) for an integer q in [0, ceil(mu)) and u in [0, 1]."""
+        return self.eval(u + q)
+
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -113,6 +122,31 @@ class BSplineGenerator(Generator):
         arr, scalar = _as_array(t)
         out = _bspline_deriv(self.m, s, arr)
         return float(out) if scalar else out
+
+    @cached_property
+    def _pieces(self) -> np.ndarray:
+        """C[q, k] with Q_m(q + u) = sum_k C[q, k] u^k on [q, q + 1).
+
+        Expanded exactly from the truncated powers
+        Q_m(t) = sum_j (-1)^j C(m, j) (t - j)_+^(m-1) / (m-1)!.
+        """
+        m = self.m
+        out = np.empty((m, m))
+        for q in range(m):
+            for k in range(m):
+                acc = sum((-1) ** j * comb(m, j) * (q - j) ** (m - 1 - k)
+                          for j in range(q + 1))
+                out[q, k] = float(Fraction(comb(m - 1, k) * acc, factorial(m - 1)))
+        return out
+
+    def piece(self, q: int, u: np.ndarray) -> np.ndarray:
+        """Q_m(q + u) by Horner on the local polynomial of piece q."""
+        coef = self._pieces[q]
+        val = np.full(np.shape(u), coef[-1])
+        for c in coef[-2::-1]:
+            val *= u
+            val += c
+        return val
 
     def descriptor(self) -> dict:
         return {"kind": "bspline", "order": self.m}
@@ -247,6 +281,21 @@ class DaubechiesGenerator(Generator):
         out = np.where((arr <= 0.0) | (arr >= self.mu), 0.0, out)
         return float(out) if scalar else out
 
+    def piece(self, q: int, u: np.ndarray) -> np.ndarray:
+        """phi(q + u) straight from the dyadic table, as np.interp reads it.
+
+        The table steps by 2^-level, so u * 2^level and the slope are exact
+        and the linear interpolation rounds as np.interp's does.
+        """
+        scale = 1 << self.level
+        pos = u * scale
+        # fmin/fmax clamp a NaN u to a valid cell; the NaN returns through frac
+        cell = np.fmax(np.fmin(np.floor(pos), scale - 1), 0)
+        frac = pos - cell
+        idx = cell.astype(np.intp) + q * scale
+        lo = self._values[idx]
+        return lo + (self._values[idx + 1] - lo) * frac
+
     def table_value(self, k: int) -> float:
         """phi at the integer k, straight from the refinement fixed point."""
         if not 0 <= k <= self.mu:
@@ -324,12 +373,55 @@ def generator_from_descriptor(desc: dict) -> Generator:
     if kind == "bspline":
         return BSplineGenerator(int(desc["order"]))
     if kind == "daubechies":
-        return DaubechiesGenerator(int(desc["order"]), int(desc.get("level", 12)))
+        if "level" in desc:
+            return DaubechiesGenerator(int(desc["order"]), int(desc["level"]))
+        return DaubechiesGenerator(int(desc["order"]))
     if kind == "tabulated":
         values = np.asarray(desc["values"], dtype=float)
         grid = np.arange(len(values)) * float(desc["step"])
         return TabulatedGenerator(grid, values, int(desc.get("regularity", 0)))
     raise ValueError(f"unknown generator kind {kind!r}")
+
+
+def _expand(gen: Generator, shifts, coefs, x) -> np.ndarray:
+    """sum_j coefs[j] phi(x - shifts[j]), read through phi's unit pieces.
+
+    The shifts fall into classes by their fractional part delta; within a
+    class they are integers k after removing delta, and their coefficients
+    are scattered into one dense vector b.  With y = x - delta, m = floor(y)
+    and u = y - m, a point meets only the ceil(mu) pieces
+    b[m - q] phi(q + u), q = 0 .. ceil(mu) - 1.  Shifts whose fractional
+    parts differ by rounding noise share a class.
+
+    Every point is computed from its own x with elementwise operations in a
+    fixed order, so its value does not depend on the other points.
+    """
+    x = np.asarray(x, dtype=float)
+    shifts = np.asarray(shifts, dtype=float).ravel()
+    coefs = np.asarray(coefs, dtype=float).ravel()
+    out = np.zeros(x.shape)
+    if shifts.size == 0:
+        return out
+    k = np.floor(shifts)
+    frac = shifts - k
+    tol = 64.0 * np.spacing(max(1.0, float(np.abs(shifts).max())))
+    order = np.argsort(frac, kind="stable")
+    breaks = np.flatnonzero(np.diff(frac[order]) > tol) + 1
+    n_pieces = ceil(gen.mu)
+    for cls in np.split(order, breaks):
+        delta = frac[cls[0]]
+        kc = k[cls].astype(np.int64)
+        k0 = int(kc.min()) - 1
+        # b[0] and b[-1] stay zero; indices off the vector clip onto them
+        b = np.zeros(int(kc.max()) - k0 + 2)
+        np.add.at(b, kc - k0, coefs[cls])
+        y = x - delta
+        m = np.floor(y)
+        u = y - m
+        base = np.fmax(np.fmin(m - k0, len(b) + n_pieces), -1).astype(np.intp)
+        for q in range(n_pieces):
+            out += b[np.clip(base - q, 0, len(b) - 1)] * gen.piece(q, u)
+    return out
 
 
 def _bspline_stability(m: int, w: np.ndarray) -> np.ndarray:

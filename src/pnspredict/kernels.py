@@ -17,7 +17,7 @@ from math import ceil, floor
 
 import numpy as np
 
-from .generators import generator_from_descriptor
+from .generators import _expand, generator_from_descriptor
 from .polyphase import CIS_THRESHOLD, LaurentMatrix, SamplingScheme
 
 __all__ = [
@@ -134,22 +134,48 @@ class KernelSet:
         return shifts.copy(), coefs.copy()
 
     def kernel(self, n: int, i: int, t):
-        if not 0 <= n < self.scheme.L or not 0 <= i < self.scheme.r:
-            raise IndexError(f"kernel index ({n}, {i}) out of range")
-        shifts, coefs = self._terms[n, i]
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if len(shifts) == 0:
-            out = np.zeros_like(arr)
-        else:
-            args = arr[None, :] - shifts[:, None]
-            out = coefs @ self.gen.eval(args.ravel()).reshape(len(shifts), -1)
-        return float(out[0]) if scalar else out
+        return _kernel_values(self, n, i, t)
 
     def __repr__(self):
         return (f"KernelSet(gen={self.gen!r}, scheme={self.scheme!r}, "
                 f"support={self.support})")
+
+
+def _kernel_values(ks, n: int, i: int, t):
+    """Theta_ni(t) from the term table of a kernel set or prediction scheme.
+
+    A direct sum over the table: for the few points of a per-point call it
+    costs less than setting up the piece-wise expansion of `_series`.
+    """
+    if not 0 <= n < ks.scheme.L or not 0 <= i < ks.scheme.r:
+        raise IndexError(f"kernel index ({n}, {i}) out of range")
+    shifts, coefs = ks._terms[n, i]
+    arr = np.asarray(t, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    if len(shifts) == 0:
+        out = np.zeros_like(arr)
+    else:
+        args = arr[None, :] - shifts[:, None]
+        out = coefs @ ks.gen.eval(args.ravel()).reshape(len(shifts), -1)
+    return float(out[0]) if scalar else out
+
+
+def _series(ks, periods: np.ndarray, samples: np.ndarray, x) -> np.ndarray:
+    """sum_l sum_{n,i} samples[n, i, l] Theta_ni(x - rho l) over `periods`.
+
+    Every kernel is a table of shifted copies of phi, so the whole series
+    is one expansion sum_j b_j phi(x - s_j) with s_j = rho l + (kernel
+    shift); rho l is an integer and adds no fractional class.
+    """
+    rho = ks.scheme.rho
+    shifts, coefs = [], []
+    for n in range(ks.scheme.L):
+        for i in range(ks.scheme.r):
+            s, c = ks._terms[n, i]
+            shifts.append(np.add.outer(rho * periods, s).ravel())
+            coefs.append(np.multiply.outer(samples[n, i], c).ravel())
+    return _expand(ks.gen, np.concatenate(shifts), np.concatenate(coefs), x)
 
 
 def build_kernels(gen, scheme: SamplingScheme, inv: LaurentMatrix) -> KernelSet:
@@ -173,34 +199,26 @@ def reconstruct(ks: KernelSet, samples: dict, t):
     raise KeyError rather than being treated as zero.
     """
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    order = np.argsort(arr, kind="stable")
-    ts = arr[order]
-    out = np.zeros_like(ts)
+    ts = np.sort(arr, axis=None)
     lo, hi = ks.support
-    rho = ks.scheme.rho
-    offsets = ks.scheme.offsets
-    l_min = ceil((ts[0] - hi) / rho)
-    l_max = floor((ts[-1] - lo) / rho)
-    for l in range(l_min, l_max + 1):
-        a = np.searchsorted(ts, lo + rho * l, side="right")
-        b = np.searchsorted(ts, hi + rho * l, side="left")
-        if a >= b:
-            continue
-        tau = ts[a:b] - rho * l
-        for n in range(ks.scheme.L):
-            for i in range(ks.scheme.r):
+    scheme = ks.scheme
+    rho = scheme.rho
+    periods = np.arange(ceil((ts[0] - hi) / rho), floor((ts[-1] - lo) / rho) + 1)
+    # keep the periods whose open window (lo, hi) + rho l holds a point
+    a = np.searchsorted(ts, lo + rho * periods, side="right")
+    b = np.searchsorted(ts, hi + rho * periods, side="left")
+    periods = periods[a < b]
+    values = np.empty((scheme.L, scheme.r, len(periods)))
+    for n in range(scheme.L):
+        for i in range(scheme.r):
+            for j, l in enumerate(periods.tolist()):
                 key = (n, i, l)
                 if key not in samples:
-                    raise KeyError(f"missing sample for offset {offsets[n]}, "
+                    raise KeyError(f"missing sample for offset {scheme.offsets[n]}, "
                                    f"derivative {i}, period {l}")
-                c = samples[key]
-                if c != 0.0:
-                    out[a:b] += c * ks.kernel(n, i, tau)
-    result = np.empty_like(out)
-    result[order] = out
-    return float(result[0]) if scalar else result
+                values[n, i, j] = samples[key]
+    out = _series(ks, periods, values, arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def kernel_doc(ks: KernelSet) -> dict:

@@ -21,7 +21,7 @@ from math import ceil, factorial, floor, fsum, prod
 
 import numpy as np
 
-from .kernels import KernelSet, kernel_doc, kernels_from_doc
+from .kernels import KernelSet, _kernel_values, kernel_doc, kernels_from_doc
 
 __all__ = [
     "PredictionScheme",
@@ -126,18 +126,7 @@ class PredictionScheme:
         return shifts.copy(), coefs.copy()
 
     def kernel(self, n: int, i: int, t):
-        if not 0 <= n < self.scheme.L or not 0 <= i < self.scheme.r:
-            raise IndexError(f"kernel index ({n}, {i}) out of range")
-        shifts, coefs = self._terms[n, i]
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if len(shifts) == 0:
-            out = np.zeros_like(arr)
-        else:
-            args = arr[None, :] - shifts[:, None]
-            out = coefs @ self.gen.eval(args.ravel()).reshape(len(shifts), -1)
-        return float(out[0]) if scalar else out
+        return _kernel_values(self, n, i, t)
 
     def __repr__(self):
         return (f"PredictionScheme(epsilons={self.epsilons}, "

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,23 @@ def test_prediction_error_matches_reference_values(pred_quartic_r1, q4):
     e30 = lp_error(pred_cheb, f, 30.0)
     assert e30 == pytest.approx(0.03555, rel=1e-2)
     assert e30 < e20
+
+
+def test_lp_error_warns_when_refinement_does_not_settle(kernels_quartic_r1):
+    g = builtin_signal("g")
+    with pytest.warns(RuntimeWarning,
+                      match=r"W = 1 .* \d+ Simpson panels .* \d\.\d+e-\d+ relative"):
+        err = lp_error(kernels_quartic_r1, g, 1.0)
+    assert err > 0.0
+
+
+def test_lp_error_converged_refinement_is_silent(kernels_quartic_r1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lp_error(kernels_quartic_r1, builtin_signal("f"), 5.0)
+        # an error at the noise floor is exact reproduction, not a stall
+        one = TestSignal("one", (lambda t: np.ones_like(np.asarray(t, float)),))
+        lp_error(kernels_quartic_r1, one, 8.0)
 
 
 def test_quadrature_refinement_is_settled(pred_quartic_r1):

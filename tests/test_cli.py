@@ -240,6 +240,18 @@ def test_signal_expression_config(runner, tmp_path):
     assert res.exit_code == EXIT_CONFIG
 
 
+def test_signal_expression_cannot_reach_builtins(runner, tmp_path):
+    cfg = tmp_path / "escape.cfg"
+    cfg.write_text("generator.order = 4\nscheme.offset_mode = equally_spaced\n"
+                   "scheme.L = 4\nsignal.expr = "
+                   "np.__builtins__['__import__']('os').getpid() + t\n")
+    with pytest.raises(ConfigError, match="not allowed"):
+        load_config(str(cfg))
+    res = runner.invoke(main, ["check-cis", "--config", str(cfg),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_CONFIG
+
+
 def test_signal_file_config(tmp_path):
     table = tmp_path / "sig.csv"
     ts = np.linspace(-1.0, 1.0, 21)

@@ -1,10 +1,13 @@
+from functools import cache
+from math import ceil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnspredict.generators import (BSplineGenerator, DaubechiesGenerator,
-                                   TabulatedGenerator, bspline_eval,
+                                   TabulatedGenerator, _expand, bspline_eval,
                                    daubechies_taps, generator_from_descriptor,
                                    stability_bounds)
 
@@ -146,6 +149,11 @@ def test_descriptor_round_trip(q4, db3):
         assert np.array_equal(clone.eval(ts), gen.eval(ts))
 
 
+def test_descriptor_without_level_uses_constructor_default(db3):
+    desc = {"kind": "daubechies", "order": 3}
+    assert generator_from_descriptor(desc).level == DaubechiesGenerator(3).level
+
+
 def test_stability_bounds_quadratic_spline():
     lo, hi = stability_bounds(BSplineGenerator(2), grid_n=257)
     assert lo == pytest.approx(1 / 3, abs=1e-9)
@@ -184,3 +192,53 @@ def test_bspline_derivative_sums_telescope(m, s):
     ts = np.linspace(0.05, 0.95, 11)
     total = sum(bspline_eval(m, s, ts + k) for k in range(-1, m + 1))
     assert np.abs(total).max() < 1e-10
+
+
+# Generators the piece-wise evaluator is checked on: Q2..Q6, db2..db4 (their
+# dyadic-table path) and a tabulated bump with non-integer support (the
+# generic eval(u + q) path).
+EVALUATOR_GENERATORS = ("Q2", "Q3", "Q4", "Q5", "Q6", "db2", "db3", "db4", "tab")
+FRACTIONS = (0.0, 0.25, 0.5, 0.75, 0.1)
+
+
+@cache
+def _generator(name):
+    if name.startswith("Q"):
+        return BSplineGenerator(int(name[1:]))
+    if name.startswith("db"):
+        return DaubechiesGenerator(int(name[2:]), level=12)
+    grid = np.linspace(0.0, 2.5, 251)
+    return TabulatedGenerator(grid, np.sin(np.pi * grid / 2.5) ** 2)
+
+
+@cache
+def _peak(name):
+    gen = _generator(name)
+    return float(np.abs(gen.eval(np.linspace(0.0, gen.mu, 4001))).max())
+
+
+@pytest.mark.parametrize("name", EVALUATOR_GENERATORS)
+def test_piece_matches_eval(name):
+    gen = _generator(name)
+    u = np.concatenate([np.linspace(0.0, 1.0, 257),
+                        np.random.default_rng(5).uniform(0.0, 1.0, 200)])
+    for q in range(ceil(gen.mu)):
+        diff = np.abs(gen.piece(q, u) - gen.eval(u + q)).max()
+        assert diff <= 1e-12 * _peak(name)
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(EVALUATOR_GENERATORS),
+       terms=st.lists(st.tuples(st.integers(-6, 6), st.sampled_from(FRACTIONS),
+                                st.floats(-10.0, 10.0)), min_size=1, max_size=12),
+       between=st.lists(st.floats(-9.0, 14.0), max_size=20))
+def test_expand_matches_direct_sum(name, terms, between):
+    gen = _generator(name)
+    shifts = np.array([k + d for k, d, _ in terms])
+    coefs = np.array([c for _, _, c in terms])
+    # points on the knots of every shift class, and between them
+    knots = [k + d for k in range(-8, 14) for d in FRACTIONS]
+    x = np.array(knots + between)
+    direct = sum(c * gen.eval(x - s) for s, c in zip(shifts, coefs))
+    bound = 1e-12 * np.abs(coefs).sum() * _peak(name)
+    assert np.abs(_expand(gen, shifts, coefs, x) - direct).max() <= bound

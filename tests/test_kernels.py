@@ -188,6 +188,21 @@ def test_reconstruct_handles_unsorted_points(kernels_quartic_r1, q4,
     assert np.array_equal(out, sorted_out[np.argsort(np.argsort(ts))])
 
 
+def test_reconstruct_reads_exactly_the_window_samples(kernels_quartic_r1, q4,
+                                                     scheme_quartic_r1):
+    f = random_spline(q4, np.random.default_rng(4).uniform(-1, 1, 10))
+    # support (-3, 4) and rho = 4: t = 1.5 meets the windows of l = 0 and 1 only
+    samples = {(n, 0, l): float(f(0)(x + 4 * l))
+               for l in (0, 1) for n, x in enumerate(scheme_quartic_r1.offsets)}
+    value = reconstruct(kernels_quartic_r1, samples, 1.5)
+    assert isinstance(value, float)
+    assert value == pytest.approx(float(f(0)(1.5)), abs=1e-10)
+    assert value == reconstruct(kernels_quartic_r1, samples, np.array([1.5]))[0]
+    del samples[2, 0, 1]
+    with pytest.raises(KeyError):
+        reconstruct(kernels_quartic_r1, samples, 1.5)
+
+
 def test_reconstruct_missing_sample_raises(kernels_quartic_r1):
     with pytest.raises(KeyError):
         reconstruct(kernels_quartic_r1, {}, np.array([0.5]))
