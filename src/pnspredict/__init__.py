@@ -32,10 +32,8 @@ from .polyphase import (
 )
 from .kernels import (
     KernelSet,
-    ResidualError,
     SingularSamplePointError,
     build_kernels,
-    evaluate_kernel,
     invert_polyphase,
     load_kernels,
     reconstruct,
@@ -73,7 +71,6 @@ __all__ = [
     "LaurentMatrix",
     "MomentReport",
     "PredictionScheme",
-    "ResidualError",
     "SamplingScheme",
     "SingularSamplePointError",
     "TabulatedGenerator",
@@ -88,7 +85,6 @@ __all__ = [
     "daubechies_eval",
     "det_on_circle",
     "equally_spaced_weights",
-    "evaluate_kernel",
     "frame_bounds",
     "generator_from_descriptor",
     "invert_polyphase",

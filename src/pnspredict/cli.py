@@ -22,9 +22,8 @@ from .approximation import (TestSignal, _default_interval, approx_operator,
                             builtin_signal, convergence_study, lp_error)
 from .generators import (BSplineGenerator, DaubechiesGenerator,
                          stability_bounds)
-from .kernels import (KernelSet, ResidualError, SingularSamplePointError,
-                      build_kernels, invert_polyphase, load_kernels,
-                      save_kernels)
+from .kernels import (KernelSet, SingularSamplePointError, build_kernels,
+                      invert_polyphase, load_kernels, save_kernels)
 from .moments import reproduction_order
 from .polyphase import (CIS_THRESHOLD, SamplingScheme, build_polyphase,
                         cis_determinant, det_on_circle, frame_bounds)
@@ -34,7 +33,6 @@ from .prediction import (equally_spaced_weights, lagrange_weights,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NOT_CIS = 3
-EXIT_RESIDUAL = 4
 
 DEFAULT_W = (5.0, 7.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
@@ -335,17 +333,6 @@ def load_config(path: str) -> RunConfig:
                      source=source)
 
 
-def _threads() -> int:
-    raw = os.environ.get("PNS_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n > 0:
-        return n
-    return os.cpu_count() or 1
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -434,9 +421,6 @@ def _guarded(fn, quiet: bool):
     except SingularSamplePointError as exc:
         click.echo(f"not a complete interpolation set: {exc}", err=True)
         sys.exit(EXIT_NOT_CIS)
-    except ResidualError as exc:
-        click.echo(f"numerical residual failure: {exc}", err=True)
-        sys.exit(EXIT_RESIDUAL)
 
 
 @main.command("check-cis")
@@ -671,7 +655,8 @@ def cmd_table1(config_path, out_dir, grid_n, quiet):
             fh.write("# the run covers the chebyshev offset family as well\n")
         jobs = [(kind, W) for W in W_list
                 for kind in ("equally_spaced", "chebyshev")]
-        with ThreadPoolExecutor(max_workers=min(_threads(), len(jobs))) as pool:
+        workers = min(os.cpu_count() or 1, len(jobs))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {
                 job: pool.submit(_table1_error, gen, job[0], L, r, s, epsilons,
                                  weights, signal, job[1], p)

@@ -1,7 +1,9 @@
 """Interpolating kernels from the inverse polyphase matrix.
 
-When the scheme is a CIS with offsets in one cell and rho >= mu, the inverse
-polyphase matrix is A + B z^{-1} and the kernels
+When the scheme is a CIS with offsets in one cell and rho >= mu, each
+column of Psi carries a single power of z, det Psi is a monomial, and one
+matrix inverse gives the inverse polyphase matrix A + B z^{-1} exactly
+(invert_polyphase).  The kernels
 
     Theta_ni(t) = sum_{q<=s} A[q, nr+i] phi(t-q)
                 + sum_{q>s}  B[q, nr+i] phi(t+rho-q)
@@ -22,11 +24,9 @@ from .polyphase import CIS_THRESHOLD, LaurentMatrix, SamplingScheme
 
 __all__ = [
     "SingularSamplePointError",
-    "ResidualError",
     "KernelSet",
     "invert_polyphase",
     "build_kernels",
-    "evaluate_kernel",
     "reconstruct",
     "save_kernels",
     "load_kernels",
@@ -34,62 +34,54 @@ __all__ = [
 
 
 class SingularSamplePointError(RuntimeError):
-    """det Psi vanished (or nearly) at an inversion grid point."""
-
-
-class ResidualError(RuntimeError):
-    """Inverse coefficients violate the expected structure."""
+    """det Psi vanished (or nearly) where the inversion evaluated it."""
 
 
 def invert_polyphase(psi: LaurentMatrix, n_fft: int = 64) -> LaurentMatrix:
-    """Fourier coefficients of Psi(x)^{-1} by sampling on the circle.
+    """Psi(x)^{-1} as a Laurent matrix.
 
-    Psi is inverted pointwise at n_fft uniform x values and the coefficient
-    matrices are recovered by a DFT across the grid.  Coefficients whose
-    largest entry is below 1e-10 are dropped; surviving entries below 1e-10
-    are zeroed.  When |det Psi| is constant on the grid (monomial
-    determinant, the compactly supported case) any surviving coefficient
-    outside powers {-1, 0} signals a bug or an inadmissible scheme and
-    raises ResidualError.
+    When no column q of Psi carries more than one power e_q (an exact
+    zero test), Psi(z) = M diag(z^{e_q}) with M = Psi(0) = sum_k C_k, so
+    det Psi = det M z^{sum e_q} is a monomial and Psi^{-1} = diag(z^{-e_q})
+    M^{-1}: row q of M^{-1} is the coefficient of z^{-e_q}.  build_polyphase
+    gives this shape for every scheme with offsets in one cell and
+    rho >= mu, because the generators vanish exactly off (0, mu); the
+    powers of a CIS are then {-1, 0} (rho > mu leaves a zero column, so
+    det M = 0).
+
+    Otherwise the inverse is in general not a Laurent polynomial: Psi is
+    inverted at n_fft uniform x values and all n_fft Fourier coefficients
+    of the DFT across the grid are returned, so build_kernels rejects it.
+    Raises SingularSamplePointError when |det M|, or |det Psi| at a grid
+    point, is at most CIS_THRESHOLD.
     """
     n = int(n_fft)
     if n < 4:
         raise ValueError("n_fft must be >= 4")
-    dim = psi.dim
-    samples = np.empty((n, dim, dim), dtype=complex)
-    dets = np.empty(n)
-    for j in range(n):
-        x = j / n
-        m = psi(x)
-        det = np.linalg.det(m)
-        dets[j] = abs(det)
-        if dets[j] <= CIS_THRESHOLD:
+    powers = np.array(psi.powers(), dtype=int)
+    C = np.array([psi.coeffs[k] for k in powers]).reshape(-1, psi.dim, psi.dim)
+    carried = C.any(axis=1)             # carried[k, q]: column q holds power k
+    if np.all(carried.sum(axis=0) <= 1):
+        e = powers @ carried
+        M = C.sum(axis=0)               # exact: one nonzero term per entry
+        det = np.linalg.det(M)
+        if abs(det) <= CIS_THRESHOLD:
             raise SingularSamplePointError(
-                f"|det Psi({x})| = {dets[j]:.3e}, scheme is not a CIS")
-        samples[j] = np.linalg.inv(m)
-    spectrum = np.fft.fft(samples, axis=0) / n
-    compact = np.ptp(dets) <= 1e-8 * dets.max()
-    coeffs = {}
-    for k in range(n):
-        nu = k if k <= n // 2 else k - n
-        mat = spectrum[k]
-        if np.abs(mat.imag).max() > 1e-9:
-            raise ResidualError(f"coefficient {nu} has imaginary part "
-                                f"{np.abs(mat.imag).max():.3e}")
-        real = mat.real.copy()
-        real[np.abs(real) < 1e-10] = 0.0
-        if np.any(real != 0.0):
-            coeffs[nu] = real
-    if compact:
-        stray = {nu: m for nu, m in coeffs.items() if nu not in (-1, 0)}
-        worst = max((np.abs(m).max() for m in stray.values()), default=0.0)
-        if worst > 1e-9:
-            raise ResidualError(
-                f"coefficients outside powers {{-1, 0}} reach {worst:.3e} "
-                "although the determinant is a monomial")
-        for nu in stray:
-            del coeffs[nu]
-    return LaurentMatrix(dim, coeffs)
+                f"|det Psi| = {abs(det):.3e} on the whole circle, "
+                "scheme is not a CIS")
+        inv = np.linalg.inv(M)
+        return LaurentMatrix(psi.dim, {-k: np.where((e == k)[:, None], inv, 0.0)
+                                       for k in np.unique(e)})
+    xs = np.arange(n) / n
+    samples = psi(xs)
+    dets = np.abs(np.linalg.det(samples))
+    j = int(np.argmin(dets))
+    if dets[j] <= CIS_THRESHOLD:
+        raise SingularSamplePointError(
+            f"|det Psi({xs[j]})| = {dets[j]:.3e}, scheme is not a CIS")
+    spectrum = np.fft.fft(np.linalg.inv(samples), axis=0).real / n
+    return LaurentMatrix(psi.dim, {(k if k <= n // 2 else k - n): spectrum[k]
+                                   for k in range(n)})
 
 
 class KernelSet:
@@ -182,13 +174,10 @@ def build_kernels(gen, scheme: SamplingScheme, inv: LaurentMatrix) -> KernelSet:
     """Assemble the kernel set from the inverse polyphase coefficients."""
     stray = [k for k in inv.powers() if k not in (-1, 0)]
     if stray:
-        raise ValueError(f"inverse has coefficients at powers {stray}, "
+        raise ValueError(f"inverse has coefficients at {len(stray)} powers "
+                         f"outside {{-1, 0}}, from {stray[0]} to {stray[-1]}; "
                          "kernels would not be compactly supported")
     return KernelSet(gen, scheme, inv.coeff(0), inv.coeff(-1))
-
-
-def evaluate_kernel(ks: KernelSet, n: int, i: int, t):
-    return ks.kernel(n, i, t)
 
 
 def reconstruct(ks: KernelSet, samples: dict, t):

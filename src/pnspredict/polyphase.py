@@ -3,7 +3,9 @@
 A scheme samples f, f', ..., f^(r-1) at the points {x_n + rho*l} with period
 rho = L*r.  The polyphase matrix Psi(x) collects the generator's shifted
 values; the scheme is a complete interpolation set exactly when det Psi has
-no zero on the unit circle.
+no zero on the unit circle.  Psi is evaluated on the whole circle grid as
+one stack of matrices, so det_on_circle and frame_bounds are one batched
+numpy call each.
 """
 
 from __future__ import annotations
@@ -120,10 +122,16 @@ class LaurentMatrix:
             return np.zeros((self.dim, self.dim))
         return mat.copy()
 
-    def __call__(self, x: float) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+    def __call__(self, x) -> np.ndarray:
+        """Psi at z = e^{2 pi i x}; an array x gives shape x.shape + (dim, dim).
+
+        Every point goes through the same elementwise operations, so
+        self(xs)[j] equals self(xs[j]) bit for bit.
+        """
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape + (self.dim, self.dim), dtype=complex)
         for k, mat in self.coeffs.items():
-            out += mat * np.exp(2j * pi * k * x)
+            out += mat * np.exp(2j * pi * k * x)[..., None, None]
         return out
 
     def det(self, x: float) -> complex:
@@ -206,7 +214,8 @@ def det_on_circle(psi: LaurentMatrix, n_grid: int = 256):
     if n_grid < 32:
         raise ValueError("n_grid must be >= 32")
     xs = _circle_grid(n_grid)
-    vals = np.array([abs(psi.det(x)) for x in xs])
+    dets = np.linalg.det(psi(xs))
+    vals = np.hypot(dets.real, dets.imag)   # rounds as abs() of a complex does
     idx = int(np.argmin(vals))
     return float(vals[idx]), float(xs[idx])
 
@@ -221,13 +230,9 @@ def frame_bounds(psi: LaurentMatrix, phi_min: float, phi_max: float,
     """
     if phi_min <= 0:
         raise ValueError("phi_min must be positive")
-    lo = np.inf
-    hi = 0.0
-    for x in _circle_grid(n_grid):
-        m = psi(x)
-        ev = np.linalg.eigvalsh(m.conj().T @ m)
-        lo = min(lo, ev[0])
-        hi = max(hi, ev[-1])
+    m = psi(_circle_grid(n_grid))
+    ev = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)
+    lo, hi = ev[:, 0].min(), ev[:, -1].max()
     return float(max(lo, 0.0) / phi_max), float(hi / phi_min)
 
 

@@ -3,8 +3,8 @@ import pytest
 from click.testing import CliRunner
 
 from pnspredict.cli import (DEFAULT_W, EXIT_CONFIG, EXIT_NOT_CIS, EXIT_OK,
-                            EXIT_RESIDUAL, ConfigError, _threads, load_config,
-                            main, parse_config_text, write_csv)
+                            ConfigError, load_config, main, parse_config_text,
+                            write_csv)
 
 QUARTIC_CFG = """\
 generator.kind = bspline
@@ -32,7 +32,7 @@ def quartic_cfg(tmp_path):
 
 
 def test_exit_codes_are_distinct():
-    assert len({EXIT_OK, EXIT_CONFIG, EXIT_NOT_CIS, EXIT_RESIDUAL}) == 4
+    assert len({EXIT_OK, EXIT_CONFIG, EXIT_NOT_CIS}) == 3
     assert EXIT_OK == 0
 
 
@@ -280,15 +280,6 @@ def test_write_csv_dialect(tmp_path):
     assert data == b"a,b\n0.1,2\n0.3333333333333333,-4\n"
     back = float(data.decode().splitlines()[2].split(",")[0])
     assert back == 1.0 / 3.0
-
-
-def test_threads_env_override(monkeypatch):
-    monkeypatch.setenv("PNS_THREADS", "1")
-    assert _threads() == 1
-    monkeypatch.setenv("PNS_THREADS", "junk")
-    assert _threads() >= 1
-    monkeypatch.delenv("PNS_THREADS")
-    assert _threads() >= 1
 
 
 def test_default_W_ladder():

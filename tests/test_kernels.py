@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pnspredict as pp
-from pnspredict.kernels import (ResidualError, SingularSamplePointError,
-                                build_kernels, evaluate_kernel,
+from pnspredict.kernels import (SingularSamplePointError, build_kernels,
                                 invert_polyphase, load_kernels, reconstruct,
                                 save_kernels)
 from conftest import build_kernel_set, random_spline
@@ -74,6 +73,31 @@ def test_inverse_times_forward_is_identity(q4, scheme_quartic_r1, scheme_hermite
             assert np.abs(prod - np.eye(scheme.rho)).max() < 1e-10
 
 
+# Q4 with r = 2 at two close offsets: a CIS whose determinant is a monomial,
+# with large inverse entries (a small det M), which an FFT inversion with
+# cut-offs on the imaginary parts of its coefficients refused
+CLOSE_OFFSETS = [(0.262, 0.298), (0.6504592762678163, 0.6884467305709401)]
+
+
+@pytest.mark.parametrize("offsets", CLOSE_OFFSETS)
+def test_close_offsets_invert_exactly_and_reconstruct(q4, offsets):
+    scheme = pp.SamplingScheme(offsets, 2)
+    psi = pp.build_polyphase(q4, scheme)
+    inv = invert_polyphase(psi)
+    assert inv.powers() == [-1, 0]
+    for x in np.arange(16) / 16:
+        assert np.abs(psi(x) @ inv(x) - np.eye(4)).max() < 1e-10
+    ks = build_kernels(q4, scheme, inv)
+    f = random_spline(q4, np.random.default_rng(5).uniform(-1, 1, 12))
+    samples = {(n, i, l): float(f(i)(x + 4 * l))
+               for l in range(-3, 5) for n, x in enumerate(offsets)
+               for i in range(2)}
+    ts = np.linspace(0.0, 8.0, 101)
+    want = f(0)(ts)
+    out = reconstruct(ks, samples, ts)
+    assert np.abs(out - want).max() <= 1e-8 * np.abs(want).max()
+
+
 def test_invert_rejects_singular_scheme(q3, scheme_cubic_split):
     with pytest.raises(SingularSamplePointError):
         invert_polyphase(pp.build_polyphase(q3, scheme_cubic_split))
@@ -136,7 +160,7 @@ def test_kernel_vanishes_off_support(kernels_quartic_r1, t):
     lo, hi = kernels_quartic_r1.support
     if not lo < t < hi:
         for n in range(4):
-            assert evaluate_kernel(kernels_quartic_r1, n, 0, t) == 0.0
+            assert kernels_quartic_r1.kernel(n, 0, t) == 0.0
 
 
 def test_interpolation_property_quartic_r1(kernels_quartic_r1, scheme_quartic_r1):

@@ -174,6 +174,35 @@ def test_laurent_matrix_basics():
         LaurentMatrix(2, {0: np.eye(3)})
 
 
+def test_laurent_matrix_on_an_array_matches_pointwise(q4, scheme_hermite):
+    psi = build_polyphase(q4, scheme_hermite)
+    for n in (1, 5, 33, 256):
+        xs = np.random.default_rng(n).uniform(-1.0, 2.0, n)
+        stack = psi(xs)
+        assert stack.shape == (n, 4, 4)
+        assert np.array_equal(stack, np.stack([psi(x) for x in xs]))
+    grid = np.arange(12).reshape(3, 4) / 12
+    assert psi(grid).shape == (3, 4, 4, 4)
+
+
+def test_circle_scans_match_the_pointwise_loop(q4, scheme_hermite,
+                                               scheme_quartic_cheb):
+    phi_min, phi_max = pp.stability_bounds(q4)
+    for scheme in (scheme_hermite, scheme_quartic_cheb):
+        psi = build_polyphase(q4, scheme)
+        for n_grid in (33, 256):
+            xs = np.arange(n_grid) / n_grid
+            if n_grid % 2:
+                xs = np.sort(np.append(xs, 0.5))
+            vals = [abs(psi.det(x)) for x in xs]
+            j = int(np.argmin(vals))
+            assert det_on_circle(psi, n_grid) == (vals[j], xs[j])
+            ev = [np.linalg.eigvalsh(psi(x).conj().T @ psi(x)) for x in xs]
+            A, B = frame_bounds(psi, phi_min, phi_max, n_grid)
+            assert A == pytest.approx(min(e[0] for e in ev) / phi_max, rel=1e-12)
+            assert B == pytest.approx(max(e[-1] for e in ev) / phi_min, rel=1e-12)
+
+
 def test_frame_bounds_identity():
     ident = LaurentMatrix(3, {0: np.eye(3)})
     A, B = frame_bounds(ident, 1.0, 1.0)
