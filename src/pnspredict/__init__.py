@@ -39,16 +39,13 @@ from .kernels import (
     reconstruct,
     save_kernels,
 )
-from .moments import MomentReport, moment_defect, reproduction_order
+from .moments import MomentReport, moment_defects, reproduction_order
 from .prediction import (
-    PredictionScheme,
     equally_spaced_weights,
     lagrange_weights,
-    load_prediction,
     modify_kernels,
     past_window,
     predict,
-    save_prediction,
     window_bound,
 )
 from .approximation import (
@@ -70,7 +67,6 @@ __all__ = [
     "KernelSet",
     "LaurentMatrix",
     "MomentReport",
-    "PredictionScheme",
     "SamplingScheme",
     "SingularSamplePointError",
     "TabulatedGenerator",
@@ -90,16 +86,14 @@ __all__ = [
     "invert_polyphase",
     "lagrange_weights",
     "load_kernels",
-    "load_prediction",
     "lp_error",
     "modify_kernels",
-    "moment_defect",
+    "moment_defects",
     "past_window",
     "predict",
     "reconstruct",
     "reproduction_order",
     "save_kernels",
-    "save_prediction",
     "stability_bounds",
     "tau_modulus_estimate",
     "window_bound",

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, comb, floor, isfinite
+from math import ceil, comb, isfinite
 
 import numpy as np
 
-from .kernels import _series
+from .kernels import _periods, _samples, _series
 
 __all__ = [
     "TestSignal",
@@ -91,19 +91,15 @@ def builtin_signal(name: str) -> TestSignal:
     raise ValueError(f"unknown built-in signal {name!r}")
 
 
-def _series_eval(kset, signal, W: float, ts: np.ndarray) -> np.ndarray:
-    """Evaluate the sampling series at the points ts (any order)."""
-    scheme = kset.scheme
-    rho = scheme.rho
-    lo, hi = kset.support
+def _series_eval(kset, source, W: float, ts: np.ndarray) -> np.ndarray:
+    """Evaluate the sampling series at the points ts (any order).
+
+    source is any sample source `kernels._samples` reads; the samples are
+    taken over the closed period range of the points.
+    """
     wt = W * ts
-    periods = np.arange(ceil((wt.min() - hi) / rho), floor((wt.max() - lo) / rho) + 1)
-    samples = np.empty((scheme.L, scheme.r, len(periods)))
-    for n, x in enumerate(scheme.offsets):
-        times = (x + rho * periods) / W
-        for i in range(scheme.r):
-            samples[n, i] = np.asarray(signal.eval(times, i), dtype=float) * W ** (-i)
-    return _series(kset, periods, samples, wt)
+    periods = _periods(kset, wt)
+    return _series(kset, periods, _samples(kset, source, W, periods), wt)
 
 
 def approx_operator(kset, signal: TestSignal, W: float, t):

@@ -9,9 +9,7 @@ endings, header row) plus a resolved-config copy per run.
 from __future__ import annotations
 
 import ast
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +26,7 @@ from .moments import reproduction_order
 from .polyphase import (CIS_THRESHOLD, SamplingScheme, build_polyphase,
                         cis_determinant, det_on_circle, frame_bounds)
 from .prediction import (equally_spaced_weights, lagrange_weights,
-                         modify_kernels, save_prediction, window_bound)
+                         modify_kernels, window_bound)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -380,10 +378,9 @@ def _echo(quiet: bool, msg: str):
         click.echo(msg)
 
 
-def _build_kernel_set(cfg: RunConfig) -> KernelSet:
-    psi = build_polyphase(cfg.gen, cfg.scheme)
-    inv = invert_polyphase(psi)
-    return build_kernels(cfg.gen, cfg.scheme, inv)
+def _build_kernel_set(gen, scheme: SamplingScheme) -> KernelSet:
+    psi = build_polyphase(gen, scheme)
+    return build_kernels(gen, scheme, invert_polyphase(psi))
 
 
 def _moment_tol(gen) -> float:
@@ -468,7 +465,7 @@ def cmd_kernels(config_path, out_dir, grid_n, quiet):
         out = _prepare_out(out_dir)
         _write_resolved(cfg, out)
         try:
-            ks = _build_kernel_set(cfg)
+            ks = _build_kernel_set(cfg.gen, cfg.scheme)
         except ValueError as exc:
             raise ConfigError(f"{cfg.source}: {exc}")
         save_kernels(ks, out / "kernels.json")
@@ -506,7 +503,7 @@ def cmd_moments(config_path, out_dir, grid_n, quiet):
         out = _prepare_out(out_dir)
         _write_resolved(cfg, out)
         try:
-            ks = _build_kernel_set(cfg)
+            ks = _build_kernel_set(cfg.gen, cfg.scheme)
         except ValueError as exc:
             raise ConfigError(f"{cfg.source}: {exc}")
         report = reproduction_order(ks, tol=_moment_tol(cfg.gen))
@@ -548,11 +545,11 @@ def cmd_predict(config_path, out_dir, grid_n, quiet, kernels_path):
             ks = load_kernels(kernels_path)
         else:
             try:
-                ks = _build_kernel_set(cfg)
+                ks = _build_kernel_set(cfg.gen, cfg.scheme)
             except ValueError as exc:
                 raise ConfigError(f"{cfg.source}: {exc}")
         ps = _require_prediction(cfg, ks)
-        save_prediction(ps, out / "prediction.json")
+        save_kernels(ps, out / "prediction.json")
         lo, hi = ps.support
         _echo(quiet, f"support [{lo:g}, {hi:g}]")
         bound = window_bound(ps)
@@ -589,7 +586,7 @@ def cmd_convergence(config_path, out_dir, grid_n, quiet):
         out = _prepare_out(out_dir)
         _write_resolved(cfg, out)
         try:
-            ks = _build_kernel_set(cfg)
+            ks = _build_kernel_set(cfg.gen, cfg.scheme)
         except ValueError as exc:
             raise ConfigError(f"{cfg.source}: {exc}")
         kset = _require_prediction(cfg, ks) if cfg.epsilons is not None else ks
@@ -602,17 +599,6 @@ def cmd_convergence(config_path, out_dir, grid_n, quiet):
         return EXIT_OK
 
     sys.exit(_guarded(run, quiet))
-
-
-def _table1_error(gen, offsets_kind, L, r, s, epsilons, weights, signal, W, p):
-    if offsets_kind == "chebyshev":
-        scheme = SamplingScheme.chebyshev(L, r, s)
-    else:
-        scheme = SamplingScheme.equally_spaced(L, r, s)
-    psi = build_polyphase(gen, scheme)
-    ks = build_kernels(gen, scheme, invert_polyphase(psi))
-    ps = modify_kernels(ks, epsilons, weights)
-    return lp_error(ps, signal, W, p)
 
 
 @main.command("table1")
@@ -653,18 +639,13 @@ def cmd_table1(config_path, out_dir, grid_n, quiet):
         _write_resolved(resolved, out)
         with (out / "resolved.cfg").open("a") as fh:
             fh.write("# the run covers the chebyshev offset family as well\n")
-        jobs = [(kind, W) for W in W_list
-                for kind in ("equally_spaced", "chebyshev")]
-        workers = min(os.cpu_count() or 1, len(jobs))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                job: pool.submit(_table1_error, gen, job[0], L, r, s, epsilons,
-                                 weights, signal, job[1], p)
-                for job in jobs
-            }
-            results = {job: fut.result() for job, fut in futures.items()}
-        rows = [[float(W), float(results["equally_spaced", W]),
-                 float(results["chebyshev", W])] for W in W_list]
+        columns = []
+        for family in (SamplingScheme.equally_spaced, SamplingScheme.chebyshev):
+            ks = _build_kernel_set(gen, family(L, r, s))
+            ps = modify_kernels(ks, epsilons, weights)
+            columns.append([lp_error(ps, signal, W, p) for W in W_list])
+        rows = [[float(W), float(eq), float(ch)]
+                for W, eq, ch in zip(W_list, *columns)]
         write_csv(out / "table1.csv", ["W", "equally_spaced", "chebyshev"], rows)
         _echo(quiet, f"{'W':>6}  {'equally spaced':>15}  {'chebyshev':>15}")
         for W, eq, ch in rows:

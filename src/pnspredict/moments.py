@@ -5,23 +5,25 @@ generalized moment sums
 
     sum_i C(j,i) i! sum_{l,n} (x_n + rho l - t)^{j-i} Theta_ni(t - rho l)
 
-equal delta_{j0} for every j < kappa.  The defect of each degree is
-measured on a grid spanning one period plus margins (the defect is
-rho-periodic in t), and the verdict is cross-checked by applying the
-W = 1 sampling operator to monomials.
+equal delta_{j0} for every j < kappa.  The defects of all degrees are
+measured together on a grid spanning one period plus margins (the defect
+is rho-periodic in t): each kernel is evaluated once on the whole grid of
+t - rho l.  The verdict is cross-checked by applying the W = 1 sampling
+operator to monomials.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, comb, factorial, floor
+from math import comb, factorial, floor
 
 import numpy as np
 
-from .kernels import reconstruct
+from .approximation import _series_eval
+from .kernels import _kernel_values
 
-__all__ = ["MomentReport", "moment_defect", "reproduction_order"]
+__all__ = ["MomentReport", "moment_defects", "reproduction_order"]
 
 
 @dataclass(frozen=True)
@@ -48,65 +50,49 @@ class MomentReport:
         return "\n".join(lines)
 
 
-def _kernel_extended(ks, n: int, i: int, tau: np.ndarray) -> np.ndarray:
-    """Kernel values from the term table, carried in tau's (long) dtype."""
-    shifts, coefs = ks.term_table(n, i)
-    if len(shifts) == 0:
-        return np.zeros_like(tau)
-    args = tau[None, :] - np.asarray(shifts, dtype=tau.dtype)[:, None]
-    vals = ks.gen.eval(args.ravel()).reshape(len(shifts), -1)
-    return np.asarray(coefs, dtype=tau.dtype) @ vals
+def moment_defects(ks, degree: int, t_grid) -> tuple:
+    """Moment defects of degrees 0..degree: for each j, the max over t_grid
+    of |moment sum of degree j minus delta_{j0}|.
 
-
-def moment_defect(ks, j: int, t_grid) -> float:
-    """Max over t_grid of |moment sum of degree j minus delta_{j0}|.
-
-    Accumulated in extended precision: modified kernels carry weights in
-    the thousands, and the cancellation down to ~1e-9 defects is below
-    the float64 noise floor of the naive sum.
+    Every kernel is evaluated once, on the (t, l) grid of the periods l
+    whose window can hold t, and feeds the sums of all degrees.  Carried in
+    extended precision: modified kernels carry weights in the thousands,
+    and the cancellation down to ~1e-9 defects is below the float64 noise
+    floor of the naive sum.
     """
-    if j < 0:
+    if degree < 0:
         raise ValueError("degree must be >= 0")
-    ts = np.sort(np.asarray(t_grid, dtype=float).ravel())
+    ts = np.asarray(t_grid, dtype=float).ravel()
     if ts.size == 0:
         raise ValueError("t_grid must be nonempty")
     scheme = ks.scheme
     rho = scheme.rho
     lo, hi = ks.support
     work = np.longdouble
-    tsl = ts.astype(work)
-    acc = np.zeros(ts.shape, dtype=work)
-    for l in range(ceil((ts[0] - hi) / rho), floor((ts[-1] - lo) / rho) + 1):
-        a = np.searchsorted(ts, lo + rho * l, side="right")
-        b = np.searchsorted(ts, hi + rho * l, side="left")
-        if a >= b:
-            continue
-        tau = tsl[a:b] - work(rho) * l
-        for n, x in enumerate(scheme.offsets):
-            diff = work(x) - tau
-            for i in range(min(j, scheme.r - 1) + 1):
-                kern = _kernel_extended(ks, n, i, tau)
-                acc[a:b] += (comb(j, i) * factorial(i)) * diff ** (j - i) * kern
-    return float(np.abs(acc - (1.0 if j == 0 else 0.0)).max())
+    # first period whose window reaches t, then as many as a window spans;
+    # the kernels vanish exactly at the periods past the last one
+    first = np.ceil((ts - hi) / rho)
+    periods = first[:, None] + np.arange(floor((hi - lo) / rho) + 1)
+    tau = ts.astype(work)[:, None] - work(rho) * periods
+    acc = np.zeros((degree + 1, ts.size), dtype=work)
+    for n, x in enumerate(scheme.offsets):
+        diff = work(x) - tau
+        for i in range(min(degree, scheme.r - 1) + 1):
+            term = _kernel_values(ks, n, i, tau.ravel()).reshape(tau.shape)
+            for j in range(i, degree + 1):
+                acc[j] += (comb(j, i) * factorial(i)) * term.sum(axis=1)
+                term = term * diff
+    acc[0] -= 1.0
+    return tuple(float(d) for d in np.abs(acc).max(axis=1))
 
 
 def _monomial_cross_check(ks, degree: int) -> float:
     """Relative error of the W = 1 operator applied to t^degree."""
-    scheme = ks.scheme
-    rho = scheme.rho
-    lo, hi = ks.support
-    ts = np.linspace(0.0, rho, 65)
-    samples = {}
-    for l in range(ceil((0.0 - hi) / rho) - 1, floor((rho - lo) / rho) + 2):
-        for n, x in enumerate(scheme.offsets):
-            point = x + rho * l
-            for i in range(scheme.r):
-                if i > degree:
-                    samples[n, i, l] = 0.0
-                else:
-                    samples[n, i, l] = (factorial(degree) / factorial(degree - i)
-                                        * point ** (degree - i))
-    approx = reconstruct(ks, samples, ts)
+    ts = np.linspace(0.0, ks.scheme.rho, 65)
+    derivs = [lambda t, i=i: (factorial(degree) / factorial(degree - i)
+                              * t ** (degree - i) if i <= degree else 0.0 * t)
+              for i in range(ks.scheme.r)]
+    approx = _series_eval(ks, derivs, 1.0, ts)
     exact = ts ** degree
     scale = max(1.0, float(np.abs(exact).max()))
     return float(np.abs(approx - exact).max()) / scale
@@ -125,7 +111,7 @@ def reproduction_order(ks, tol: float = 1e-8, probe_max: int = 8) -> MomentRepor
     width = hi - lo
     rho = ks.scheme.rho
     grid = np.linspace(-width, rho + width, 257)
-    defects = tuple(moment_defect(ks, j, grid) for j in range(probe_max + 1))
+    defects = moment_defects(ks, probe_max, grid)
     kappa = probe_max + 1
     for j, d in enumerate(defects):
         if d > tol:

@@ -11,28 +11,28 @@ moves the kernel support into (0, oo), so the operator
 
 uses only samples taken strictly before t.  The weights a_p solve a
 Vandermonde system that preserves the polynomial reproduction order.
+Theta~ is again a KernelSet (one carrying the nodes and weights), and S~_W
+is the same sampling series as the two-sided operator, read from past
+bursts only.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from math import ceil, factorial, floor, fsum, prod
+from math import ceil, factorial, floor, prod
 
 import numpy as np
 
-from .kernels import KernelSet, _kernel_values, kernel_doc, kernels_from_doc
+from .approximation import _series_eval
+from .kernels import KernelSet
 
 __all__ = [
-    "PredictionScheme",
     "lagrange_weights",
     "equally_spaced_weights",
     "modify_kernels",
     "past_window",
     "window_bound",
     "predict",
-    "save_prediction",
-    "load_prediction",
 ]
 
 
@@ -80,67 +80,20 @@ def equally_spaced_weights(eps0: float, d: float, rho: int) -> list:
             for p in range(rho)]
 
 
-class PredictionScheme:
-    """A kernel set shifted into the past: Theta~ supported in (0, oo)."""
+def modify_kernels(ks: KernelSet, epsilons, weights=None) -> KernelSet:
+    """Shift the kernels into the past; weights default to lagrange_weights.
 
-    def __init__(self, base: KernelSet, epsilons, weights):
-        eps = tuple(float(e) for e in epsilons)
-        wts = tuple(float(a) for a in weights)
-        rho = base.scheme.rho
-        if len(eps) != rho:
-            raise ValueError(f"need exactly rho = {rho} epsilon nodes, got {len(eps)}")
-        if len(wts) != len(eps):
-            raise ValueError("weights and epsilons must have equal length")
-        if any(b <= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilon nodes must be strictly increasing")
-        if eps[0] < rho:
-            raise ValueError(
-                f"eps0 = {eps[0]} < rho = {rho}: shifted kernels would not be causal")
-        for j in range(rho):
-            resid = fsum(wts[p] * (-eps[p]) ** j for p in range(rho)) - (j == 0)
-            scale = max(abs(wts[p]) * eps[p] ** j for p in range(rho))
-            if abs(resid) > 1e-9 * max(scale, 1.0):
-                raise ValueError(f"weights violate the moment equation at degree {j}")
-        self.base = base
-        self.epsilons = eps
-        self.weights = wts
-        self.support = (base.support[0] + eps[0], base.support[1] + eps[-1])
-        self._terms = {}
-        for (n, i), (shifts, coefs) in base._terms.items():
-            full_shifts = np.concatenate([shifts + e for e in eps]) if len(shifts) \
-                else np.zeros(0)
-            full_coefs = np.concatenate([a * coefs for a in wts]) if len(coefs) \
-                else np.zeros(0)
-            self._terms[n, i] = (full_shifts, full_coefs)
-
-    @property
-    def scheme(self):
-        return self.base.scheme
-
-    @property
-    def gen(self):
-        return self.base.gen
-
-    def term_table(self, n: int, i: int):
-        shifts, coefs = self._terms[n, i]
-        return shifts.copy(), coefs.copy()
-
-    def kernel(self, n: int, i: int, t):
-        return _kernel_values(self, n, i, t)
-
-    def __repr__(self):
-        return (f"PredictionScheme(epsilons={self.epsilons}, "
-                f"support={self.support})")
-
-
-def modify_kernels(ks: KernelSet, epsilons, weights=None) -> PredictionScheme:
-    """Shift the kernels into the past; weights default to lagrange_weights."""
+    The result is built from the A and B of ks, so nodes ks already carries
+    are replaced, not compounded.  It needs rho strictly increasing nodes
+    with eps_0 >= rho and weights that solve the moment equation
+    sum_p a_p (-eps_p)^j = delta_{j0}, j < rho; ValueError otherwise.
+    """
     if weights is None:
         weights = lagrange_weights(epsilons)
-    return PredictionScheme(ks, epsilons, weights)
+    return KernelSet(ks.gen, ks.scheme, ks.A, ks.B, epsilons, weights)
 
 
-def past_window(scheme, ps: PredictionScheme, W: float, t: float) -> set:
+def past_window(scheme, ps: KernelSet, W: float, t: float) -> set:
     """Periods l whose samples can contribute to the prediction at t.
 
     Solves lo <= W*t - rho*l <= hi for the support [lo, hi] of Theta~;
@@ -155,67 +108,21 @@ def past_window(scheme, ps: PredictionScheme, W: float, t: float) -> set:
     return set(range(l_min, l_max + 1))
 
 
-def window_bound(ps: PredictionScheme) -> int:
+def window_bound(ps: KernelSet) -> int:
     """Upper bound 2 + floor((mu - 1 + eps_last - eps_0)/rho) on |Omega_t|."""
     mu = ps.gen.mu
     rho = ps.scheme.rho
     return 2 + floor((mu - 1 + ps.epsilons[-1] - ps.epsilons[0]) / rho)
 
 
-def _sample_value(samples, n: int, i: int, l: int, time: float) -> float:
-    if isinstance(samples, dict):
-        key = (n, i, l)
-        if key not in samples:
-            raise KeyError(f"missing sample for offset index {n}, "
-                           f"derivative {i}, period {l}")
-        return float(samples[key])
-    if hasattr(samples, "eval"):
-        return float(samples.eval(time, i))
-    if isinstance(samples, (list, tuple)):
-        return float(samples[i](time))
-    if callable(samples):
-        if i != 0:
-            raise TypeError("a bare callable provides no derivatives; pass a "
-                            "sequence of callables or a signal object")
-        return float(samples(time))
-    raise TypeError(f"unsupported sample source {type(samples).__name__}")
-
-
-def predict(ps: PredictionScheme, samples, W: float, t: float) -> float:
+def predict(ps: KernelSet, samples, W: float, t: float) -> float:
     """Causal predictor value (S~_W f)(t) from past samples only.
 
     samples may be a map (n, i, l) -> value, a signal object with
     .eval(t, i), a sequence of per-derivative callables, or a bare callable
-    when r = 1.
+    when r = 1; callables take arrays.  A map must hold every period of
+    past_window.  The value equals approx_operator(ps, samples, W, t).
     """
     if W <= 0:
         raise ValueError("W must be positive")
-    scheme = ps.scheme
-    rho = scheme.rho
-    total = 0.0
-    for l in sorted(past_window(scheme, ps, W, t)):
-        tau = W * t - rho * l
-        for n, x in enumerate(scheme.offsets):
-            time = (x + rho * l) / W
-            for i in range(scheme.r):
-                v = _sample_value(samples, n, i, l, time)
-                if v != 0.0:
-                    total += W ** (-i) * v * ps.kernel(n, i, tau)
-    return total
-
-
-def save_prediction(ps: PredictionScheme, path):
-    """Serialize base kernels plus epsilon nodes and weights as JSON."""
-    doc = kernel_doc(ps.base)
-    doc["epsilons"] = [float(e) for e in ps.epsilons]
-    doc["weights"] = [float(a) for a in ps.weights]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def load_prediction(path) -> PredictionScheme:
-    with open(path) as fh:
-        doc = json.load(fh)
-    base = kernels_from_doc(doc)
-    return PredictionScheme(base, doc["epsilons"], doc["weights"])
+    return float(_series_eval(ps, samples, W, np.array([float(t)]))[0])

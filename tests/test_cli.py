@@ -163,18 +163,20 @@ def test_predict_command_outputs(runner, quartic_cfg, tmp_path):
 
 
 def test_predict_reloads_saved_kernels_bitwise(runner, quartic_cfg, tmp_path):
-    kdir, fresh, reload_ = (tmp_path / d for d in ("k", "fresh", "reload"))
+    kdir, fresh = tmp_path / "k", tmp_path / "fresh"
     assert runner.invoke(main, ["kernels", "--config", str(quartic_cfg),
                                 "--out", str(kdir), "--quiet"]).exit_code == 0
     assert runner.invoke(main, ["predict", "--config", str(quartic_cfg),
                                 "--out", str(fresh), "--grid", "64",
                                 "--quiet"]).exit_code == 0
-    assert runner.invoke(main, ["predict", "--config", str(quartic_cfg),
-                                "--out", str(reload_), "--grid", "64", "--quiet",
-                                "--kernels", str(kdir / "kernels.json")
-                                ]).exit_code == 0
-    for name in ("trace_W20.csv", "errors.csv", "prediction.json"):
-        assert (fresh / name).read_bytes() == (reload_ / name).read_bytes()
+    for saved in (kdir / "kernels.json", fresh / "prediction.json"):
+        reload_ = tmp_path / f"reload_{saved.stem}"
+        assert runner.invoke(main, ["predict", "--config", str(quartic_cfg),
+                                    "--out", str(reload_), "--grid", "64",
+                                    "--quiet", "--kernels", str(saved)
+                                    ]).exit_code == 0
+        for name in ("trace_W20.csv", "errors.csv", "prediction.json"):
+            assert (fresh / name).read_bytes() == (reload_ / name).read_bytes()
 
 
 def test_convergence_command(runner, tmp_path):

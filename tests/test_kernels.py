@@ -232,6 +232,14 @@ def test_reconstruct_missing_sample_raises(kernels_quartic_r1):
         reconstruct(kernels_quartic_r1, {}, np.array([0.5]))
 
 
+def test_evaluators_return_empty_on_empty_input(kernels_quartic_r1):
+    sig = pp.builtin_signal("f")
+    for out in (reconstruct(kernels_quartic_r1, {}, []),
+                pp.approx_operator(kernels_quartic_r1, sig, 5.0, [])):
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (0,)
+
+
 def test_kernel_index_validation(kernels_quartic_r1):
     with pytest.raises(IndexError):
         kernels_quartic_r1.kernel(4, 0, 0.5)

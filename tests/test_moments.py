@@ -1,19 +1,66 @@
+from math import ceil, comb, factorial, floor
+
 import numpy as np
 import pytest
 
-from pnspredict.moments import MomentReport, moment_defect, reproduction_order
+from pnspredict.moments import MomentReport, moment_defects, reproduction_order
 
 
 def test_moment_defect_degree_zero(kernels_quartic_r1):
     grid = np.linspace(-8.0, 12.0, 161)
-    assert moment_defect(kernels_quartic_r1, 0, grid) < 1e-12
+    assert moment_defects(kernels_quartic_r1, 0, grid)[0] < 1e-12
 
 
 def test_moment_defect_validation(kernels_quartic_r1):
     with pytest.raises(ValueError):
-        moment_defect(kernels_quartic_r1, -1, [0.0])
+        moment_defects(kernels_quartic_r1, -1, [0.0])
     with pytest.raises(ValueError):
-        moment_defect(kernels_quartic_r1, 0, [])
+        moment_defects(kernels_quartic_r1, 0, [])
+
+
+def _per_period_defects(ks, degree, grid):
+    """Reference: the moment sum of each degree built period by period, each
+    kernel summed from its term table in extended precision."""
+    ts = np.sort(np.asarray(grid, dtype=float))
+    scheme = ks.scheme
+    rho = scheme.rho
+    lo, hi = ks.support
+    work = np.longdouble
+    out = []
+    for j in range(degree + 1):
+        acc = np.zeros(ts.shape, dtype=work)
+        for l in range(ceil((ts[0] - hi) / rho), floor((ts[-1] - lo) / rho) + 1):
+            inside = (ts > lo + rho * l) & (ts < hi + rho * l)
+            tau = ts[inside].astype(work) - work(rho) * l
+            for n, x in enumerate(scheme.offsets):
+                for i in range(min(j, scheme.r - 1) + 1):
+                    shifts, coefs = ks.term_table(n, i)
+                    kern = sum(work(c) * ks.gen.eval(tau - work(s))
+                               for s, c in zip(shifts, coefs))
+                    acc[inside] += (comb(j, i) * factorial(i)
+                                    * (work(x) - tau) ** (j - i) * kern)
+        out.append(float(np.abs(acc - (j == 0)).max()))
+    return out
+
+
+@pytest.mark.parametrize("name, tol", [
+    ("kernels_quartic_r1", 1e-8), ("kernels_hermite", 1e-8),
+    ("kernels_db3", 1e-6), ("pred_quartic_r1", 1e-8), ("pred_hermite", 1e-8),
+    ("pred_db3", 1e-6)])
+def test_defects_match_the_per_period_loop(request, name, tol):
+    ks = request.getfixturevalue(name)
+    lo, hi = ks.support
+    grid = np.linspace(lo - hi, ks.scheme.rho + hi - lo, 257)
+    ref = _per_period_defects(ks, 8, grid)
+    new = moment_defects(ks, 8, grid)
+
+    def kappa(defects):
+        return next((j for j, d in enumerate(defects) if d > tol), len(defects))
+
+    assert kappa(new) == kappa(ref) == reproduction_order(ks, tol).kappa
+    for got, want in zip(new, ref):
+        if want > 1e-6:
+            assert got == pytest.approx(want, rel=1e-3)
 
 
 def test_reproduction_order_quartic_r1(kernels_quartic_r1):

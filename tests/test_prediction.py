@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnspredict.approximation import TestSignal
-from pnspredict.prediction import (PredictionScheme, equally_spaced_weights,
-                                   lagrange_weights, load_prediction,
+from pnspredict.approximation import TestSignal, approx_operator, builtin_signal
+from pnspredict.kernels import load_kernels, save_kernels
+from pnspredict.prediction import (equally_spaced_weights, lagrange_weights,
                                    modify_kernels, past_window, predict,
-                                   save_prediction, window_bound)
+                                   window_bound)
 
 
 def test_lagrange_weights_quartic_nodes():
@@ -130,6 +130,26 @@ def test_predict_dict_samples_and_missing_key(pred_quartic_r1,
         predict(pred_quartic_r1, samples, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("pred", ["pred_quartic_r1", "pred_hermite", "pred_db3"])
+def test_predict_equals_the_operator_for_every_sample_source(request, pred):
+    ps = request.getfixturevalue(pred)
+    scheme = ps.scheme
+    sig = builtin_signal("f")
+    derivs = list(sig.derivs[:scheme.r])
+    for W, t in ((1.0, 0.3), (5.0, -1.7), (20.0, 2.45)):
+        periods = np.array(sorted(past_window(scheme, ps, W, t)))
+        samples = {}
+        for n, x in enumerate(scheme.offsets):
+            times = (x + scheme.rho * periods) / W
+            for i in range(scheme.r):
+                samples.update(((n, i, l), v) for l, v
+                               in zip(periods.tolist(), sig.eval(times, i)))
+        sources = [sig, samples, derivs] + ([sig.f] if scheme.r == 1 else [])
+        expected = approx_operator(ps, sig, W, t)
+        for source in sources:
+            assert predict(ps, source, W, t) == expected
+
+
 def test_modify_kernels_defaults_to_lagrange(kernels_quartic_r1,
                                              pred_quartic_r1):
     explicit = modify_kernels(kernels_quartic_r1, (4.0, 4.25, 4.5, 4.75),
@@ -141,14 +161,14 @@ def test_modify_kernels_defaults_to_lagrange(kernels_quartic_r1,
 
 def test_scheme_rejects_noninterpolatory_weights(kernels_quartic_r1):
     with pytest.raises(ValueError):
-        PredictionScheme(kernels_quartic_r1, (4.0, 4.25, 4.5, 4.75),
-                         (1.0, 1.0, 1.0, 1.0))
+        modify_kernels(kernels_quartic_r1, (4.0, 4.25, 4.5, 4.75),
+                       (1.0, 1.0, 1.0, 1.0))
 
 
 def test_save_load_round_trip(tmp_path, pred_hermite):
     path = tmp_path / "prediction.json"
-    save_prediction(pred_hermite, path)
-    clone = load_prediction(path)
+    save_kernels(pred_hermite, path)
+    clone = load_kernels(path)
     assert clone.support == pred_hermite.support
     assert clone.epsilons == pred_hermite.epsilons
     assert clone.weights == pred_hermite.weights
@@ -157,7 +177,7 @@ def test_save_load_round_trip(tmp_path, pred_hermite):
         for i in range(2):
             assert np.array_equal(clone.kernel(n, i, ts),
                                   pred_hermite.kernel(n, i, ts))
-    save_prediction(clone, tmp_path / "again.json")
+    save_kernels(clone, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
