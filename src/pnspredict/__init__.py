@@ -16,7 +16,6 @@ from .generators import (
     Generator,
     TabulatedGenerator,
     bspline_eval,
-    daubechies_eval,
     generator_from_descriptor,
     stability_bounds,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "builtin_signal",
     "cis_determinant",
     "convergence_study",
-    "daubechies_eval",
     "det_on_circle",
     "equally_spaced_weights",
     "frame_bounds",

@@ -24,7 +24,6 @@ __all__ = [
     "DaubechiesGenerator",
     "TabulatedGenerator",
     "bspline_eval",
-    "daubechies_eval",
     "daubechies_taps",
     "stability_bounds",
     "generator_from_descriptor",
@@ -207,48 +206,57 @@ def _daubechies_table(d: int, level: int):
     h = daubechies_taps(d)
     mu = 2 * d - 1
     # phi(i) for i = 1..mu-1 from T v = v, T[i, j] = sqrt(2) h[2i - j]
-    size = mu - 1
-    T = np.zeros((size, size))
-    for i in range(1, mu):
-        for j in range(1, mu):
-            k = 2 * i - j
-            if 0 <= k < len(h):
-                T[i - 1, j - 1] = sqrt(2.0) * h[k]
-    evals, evecs = np.linalg.eig(T)
-    idx = int(np.argmin(np.abs(evals - 1.0)))
-    if abs(evals[idx] - 1.0) > 1e-8:
-        raise RuntimeError("refinement matrix has no unit eigenvalue")
-    v = np.real(evecs[:, idx])
-    v /= v.sum()
     values = np.zeros(mu + 1)
-    values[1:mu] = v
+    values[1:mu] = _refinement_fixed_point(sqrt(2.0) * h, 0, 1, mu)
     gap = np.inf
     for lev in range(1, level + 1):
         n_prev = len(values)
         fine = np.zeros(2 * (n_prev - 1) + 1)
         fine[::2] = values
-        odd = np.arange(1, len(fine), 2)
-        acc = np.zeros_like(odd, dtype=float)
+        # fine index 2j + 1 reads values[2j + 1 - k 2^(lev-1)]: a step-2 run
+        acc = np.zeros(n_prev - 1)
         for k, hk in enumerate(h):
-            src = odd - k * 2 ** (lev - 1)
-            ok = (src >= 0) & (src < n_prev)
-            acc[ok] += sqrt(2.0) * hk * values[src[ok]]
-        fine[odd] = acc
-        gap = float(np.abs(fine[odd] - 0.5 * (fine[odd - 1] + fine[odd + 1])).max())
+            shift = k << (lev - 1)
+            dst, src = acc[shift // 2:], values[1 - shift % 2::2]
+            n = min(len(dst), len(src))
+            dst[:n] += sqrt(2.0) * hk * src[:n]
+        fine[1::2] = acc
+        gap = float(np.abs(acc - 0.5 * (fine[:-1:2] + fine[2::2])).max())
         values = fine
     # holds exactly by construction; guards against a broken filter
     if gap > 1e-2:
         raise RuntimeError(f"cascade failed to converge: level gap {gap:.3e}")
-    step = 2.0 ** (-level)
-    args = 2.0 * np.arange(len(values)) * step
-    interp = np.zeros_like(values)
-    for k, hk in enumerate(h):
-        interp += sqrt(2.0) * hk * np.interp(args - k, np.arange(len(values)) * step,
-                                             values, left=0.0, right=0.0)
-    resid = float(np.abs(interp - values).max())
+    resid = _refinement_residual(h, values, level)
     if resid > 1e-8:
         raise RuntimeError(f"cascade failed to converge: refinement residual {resid:.3e}")
     return h, values, gap
+
+
+def _refinement_residual(h, values, level: int) -> float:
+    """sup |sqrt(2) sum_k h_k phi(2t - k) - phi(t)| over the table's t = i 2^-level.
+
+    2t - k is the table point 2i - k 2^level, so no interpolation is needed.
+    """
+    interp = np.zeros_like(values)
+    even = values[::2]
+    for k, hk in enumerate(h):
+        seg = interp[k << (level - 1):][:len(even)]
+        seg += sqrt(2.0) * hk * even[:len(seg)]
+    return float(np.abs(interp - values).max())
+
+
+def _refinement_fixed_point(filt, first: int, lo: int, hi: int) -> np.ndarray:
+    """v_i on i = lo..hi-1 with v_i = sum_j f_(2i - j) v_j, f_m = filt[m - first],
+    normalised to sum v = 1."""
+    idx = np.arange(lo, hi)
+    m = 2 * idx[:, None] - idx[None, :] - first
+    T = np.where((m >= 0) & (m < len(filt)), filt.take(m, mode="clip"), 0.0)
+    evals, evecs = np.linalg.eig(T)
+    i = int(np.argmin(np.abs(evals - 1.0)))
+    if abs(evals[i] - 1.0) > 1e-8:
+        raise RuntimeError("refinement matrix has no unit eigenvalue")
+    v = np.real(evecs[:, i])
+    return v / v.sum()
 
 
 class DaubechiesGenerator(Generator):
@@ -307,17 +315,6 @@ class DaubechiesGenerator(Generator):
 
     def __repr__(self):
         return f"DaubechiesGenerator(d={self.d}, level={self.level})"
-
-
-def daubechies_eval(d: int, t):
-    """Evaluate the db_d scaling function at t (cached default table)."""
-    gen = _default_daubechies(int(d))
-    return gen.eval(t)
-
-
-@lru_cache(maxsize=8)
-def _default_daubechies(d: int) -> DaubechiesGenerator:
-    return DaubechiesGenerator(d)
 
 
 class TabulatedGenerator(Generator):
@@ -420,7 +417,7 @@ def _expand(gen: Generator, shifts, coefs, x) -> np.ndarray:
         u = y - m
         base = np.fmax(np.fmin(m - k0, len(b) + n_pieces), -1).astype(np.intp)
         for q in range(n_pieces):
-            out += b[np.clip(base - q, 0, len(b) - 1)] * gen.piece(q, u)
+            out += b.take(base - q, mode="clip") * gen.piece(q, u)
     return out
 
 
@@ -442,12 +439,15 @@ def _bspline_stability(m: int, w: np.ndarray) -> np.ndarray:
 def _autocorrelation(gen: Generator) -> np.ndarray:
     """Integer-lag autocorrelation a(k) = int phi(t) phi(t - k) dt, k = 0..ceil(mu)-1.
 
-    Exact for the piecewise-linear model used by table-backed generators:
-    on each cell the product of two linear pieces integrates in closed form.
+    Daubechies: a(k) = sum_m c_m a(2k - m) with c the taps' autocorrelation
+    (Lawton 1991).  Others: exact for the piecewise-linear model, on whose
+    cells the product of two linear pieces integrates in closed form.
     """
     if isinstance(gen, DaubechiesGenerator):
-        step, vals = 2.0 ** (-gen.level), gen._values
-    elif isinstance(gen, TabulatedGenerator):
+        n = len(gen.taps) - 1
+        return _refinement_fixed_point(np.correlate(gen.taps, gen.taps, "full"),
+                                       -n, 1 - n, n)[n - 1:]
+    if isinstance(gen, TabulatedGenerator):
         step, vals = gen.step, gen.values
     else:
         grid = np.linspace(0.0, gen.mu, 4097)
@@ -467,9 +467,8 @@ def _autocorrelation(gen: Generator) -> np.ndarray:
 def stability_bounds(gen: Generator, grid_n: int = 256) -> tuple[float, float]:
     """Extremes over w in [0, 1] of Phi(w) = sum_n |phihat(w + n)|^2.
 
-    B-splines use the analytic sinc-power form of phihat; table-backed
-    generators use the equivalent finite cosine sum over the integer-lag
-    autocorrelation of the tabulated function.
+    B-splines use the analytic sinc-power form of phihat; the others use the
+    equivalent finite cosine sum over the integer-lag autocorrelation.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")

@@ -1,15 +1,17 @@
 from functools import cache
-from math import ceil
+from math import ceil, comb, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnspredict.generators import (BSplineGenerator, DaubechiesGenerator,
-                                   TabulatedGenerator, _expand, bspline_eval,
+                                   TabulatedGenerator, _daubechies_table,
+                                   _expand, _refinement_residual, bspline_eval,
                                    daubechies_taps, generator_from_descriptor,
                                    stability_bounds)
+from pnspredict.moments import reproduction_order
 
 # published extremal-phase db3 filter
 DB3_TAPS = (0.3326705529500825, 0.8068915093110924, 0.4598775021184914,
@@ -232,6 +234,7 @@ def test_piece_matches_eval(name):
        terms=st.lists(st.tuples(st.integers(-6, 6), st.sampled_from(FRACTIONS),
                                 st.floats(-10.0, 10.0)), min_size=1, max_size=12),
        between=st.lists(st.floats(-9.0, 14.0), max_size=20))
+@example(name="Q2", terms=[(0, 0.0, 5e-324), (0, 0.0, 5e-324)], between=[])
 def test_expand_matches_direct_sum(name, terms, between):
     gen = _generator(name)
     shifts = np.array([k + d for k, d, _ in terms])
@@ -240,5 +243,127 @@ def test_expand_matches_direct_sum(name, terms, between):
     knots = [k + d for k in range(-8, 14) for d in FRACTIONS]
     x = np.array(knots + between)
     direct = sum(c * gen.eval(x - s) for s, c in zip(shifts, coefs))
-    bound = 1e-12 * np.abs(coefs).sum() * _peak(name)
+    # the absolute term keeps the bound above zero when every coefficient
+    # is subnormal and the relative term underflows
+    bound = 1e-12 * np.abs(coefs).sum() * _peak(name) + 4 * np.finfo(float).tiny
     assert np.abs(_expand(gen, shifts, coefs, x) - direct).max() <= bound
+
+
+# Reference for the Daubechies table: the cascade as first written, with a
+# boolean-mask gather per tap and the refinement residual read back through
+# np.interp.  The strided-slice cascade must reproduce it bit for bit.
+def _mask_cascade(d, level):
+    h = daubechies_taps(d)
+    mu = 2 * d - 1
+    size = mu - 1
+    T = np.zeros((size, size))
+    for i in range(1, mu):
+        for j in range(1, mu):
+            k = 2 * i - j
+            if 0 <= k < len(h):
+                T[i - 1, j - 1] = sqrt(2.0) * h[k]
+    evals, evecs = np.linalg.eig(T)
+    v = np.real(evecs[:, int(np.argmin(np.abs(evals - 1.0)))])
+    v /= v.sum()
+    values = np.zeros(mu + 1)
+    values[1:mu] = v
+    gap = np.inf
+    for lev in range(1, level + 1):
+        n_prev = len(values)
+        fine = np.zeros(2 * (n_prev - 1) + 1)
+        fine[::2] = values
+        odd = np.arange(1, len(fine), 2)
+        acc = np.zeros_like(odd, dtype=float)
+        for k, hk in enumerate(h):
+            src = odd - k * 2 ** (lev - 1)
+            ok = (src >= 0) & (src < n_prev)
+            acc[ok] += sqrt(2.0) * hk * values[src[ok]]
+        fine[odd] = acc
+        gap = float(np.abs(fine[odd] - 0.5 * (fine[odd - 1] + fine[odd + 1])).max())
+        values = fine
+    return h, values, gap
+
+
+def _interp_residual(h, values, level):
+    step = 2.0 ** (-level)
+    args = 2.0 * np.arange(len(values)) * step
+    interp = np.zeros_like(values)
+    for k, hk in enumerate(h):
+        interp += sqrt(2.0) * hk * np.interp(args - k, np.arange(len(values)) * step,
+                                             values, left=0.0, right=0.0)
+    return float(np.abs(interp - values).max())
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_daubechies_table_matches_mask_cascade(d):
+    for level in range(1, 11):
+        h, want, gap = _mask_cascade(d, level)
+        if gap > 1e-2:
+            # too coarse to accept; the message carries the same gap
+            with pytest.raises(RuntimeError, match=f"level gap {gap:.3e}"):
+                _daubechies_table.__wrapped__(d, level)
+            continue
+        taps, values, level_gap = _daubechies_table.__wrapped__(d, level)
+        assert np.array_equal(taps, h)
+        assert np.array_equal(values, want)
+        assert level_gap == gap
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_refinement_residual_matches_interp(d):
+    h, values, _ = _mask_cascade(d, 8)
+    resid = _refinement_residual(h, values, 8)
+    assert resid == _interp_residual(h, values, 8)
+    assert resid < 1e-14
+
+
+def test_refinement_residual_sees_a_perturbed_entry():
+    h, values, _ = _mask_cascade(3, 8)
+    bad = values.copy()
+    bad[3 * 2 ** 7 + 11] += 1e-6
+    assert _refinement_residual(h, values, 8) < 1e-14
+    assert _refinement_residual(h, bad, 8) > 1e-8
+
+
+def _orthonormality_defect(h):
+    n = len(h) - 1
+    even = np.correlate(h, h, mode="full")[n::2]
+    return float(np.abs(even - np.eye(len(even))[0]).max())
+
+
+# db2's cascade passes the level-gap check only from level 12 on
+@pytest.mark.parametrize("d,level", [(2, 18), (2, 12)]
+                         + [(d, lev) for d in (3, 4, 5, 6) for lev in (18, 6)])
+def test_daubechies_stability_bounds_are_one(d, level):
+    # an orthonormal scaling function has sum_n |phihat(w + n)|^2 = 1; the
+    # bounds come from the taps, so they hold to the taps' own orthonormality
+    # (3.4e-13 for db6, below 1e-13 up to db5) whatever the table level
+    gen = DaubechiesGenerator(d, level)
+    tol = max(1e-12, 8 * _orthonormality_defect(gen.taps))
+    lo, hi = stability_bounds(gen)
+    assert abs(lo - 1.0) <= tol and abs(hi - 1.0) <= tol
+
+
+def _alternating_moments(h, count):
+    k = np.arange(len(h), dtype=float)
+    return [abs(float(np.sum((-1.0) ** k * k ** j * h))) for j in range(count)]
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+def test_daubechies_taps_strang_fix_order(d):
+    # d vanishing moments of the wavelet: sum_k (-1)^k k^j h_k = 0 for j < d
+    moments = _alternating_moments(daubechies_taps(d), d + 1)
+    assert max(moments[:d]) <= 1e-10
+    assert moments[d] >= 1.0
+
+
+def test_reproduction_order_matches_strang_fix_order(kernels_db3,
+                                                      kernels_quartic_r1):
+    # the quartic B-spline refines with h_k = sqrt(2) 2^-4 C(4, k)
+    q4_taps = np.array([sqrt(2.0) * comb(4, k) / 16 for k in range(5)])
+    for taps, ks, tol, want in ((daubechies_taps(3), kernels_db3, 1e-6, 3),
+                                (q4_taps, kernels_quartic_r1, 1e-8, 4)):
+        moments = _alternating_moments(taps, 9)
+        order = next(j for j, m in enumerate(moments) if m > 1e-10)
+        assert order == want
+        assert reproduction_order(ks, tol=tol).kappa == order
