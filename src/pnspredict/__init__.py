@@ -15,7 +15,6 @@ from .generators import (
     DaubechiesGenerator,
     Generator,
     TabulatedGenerator,
-    bspline_eval,
     generator_from_descriptor,
     stability_bounds,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "TabulatedGenerator",
     "TestSignal",
     "approx_operator",
-    "bspline_eval",
     "build_kernels",
     "build_polyphase",
     "builtin_signal",

@@ -2,12 +2,17 @@
 
 A generator phi is a compactly supported function on [0, mu] whose integer
 shifts span the space V(phi).  Three kinds are provided: cardinal B-splines
-Q_m (closed form), Daubechies scaling functions (dyadic refinement table),
-and user-supplied tabulated functions (linear interpolation).
+Q_m (exact piece polynomials), Daubechies scaling functions (dyadic
+refinement table), and user-supplied tabulated functions (linear
+interpolation).
 
-Each generator also reads phi one unit piece at a time: `piece(q, u)` is
-phi(q + u) for an integer q and u in [0, 1].  `_expand` builds on it to
-evaluate a whole expansion sum_j c_j phi(x - s_j) in one pass.
+Each generator reads phi one unit piece at a time: `piece(q, u, s)` is
+phi^(s)(q + u) for an integer q and u in [0, 1].  B-splines and Daubechies
+functions define only `piece`, and `Generator.eval` reads every point
+through it; tabulated generators interpolate in `eval`, whose step is
+arbitrary, and read their pieces through it.  `_expand` builds on the
+pieces to evaluate a whole expansion sum_j c_j phi(x - s_j) in one pass.
+Everything is float64.
 """
 
 from __future__ import annotations
@@ -23,66 +28,10 @@ __all__ = [
     "BSplineGenerator",
     "DaubechiesGenerator",
     "TabulatedGenerator",
-    "bspline_eval",
     "daubechies_taps",
     "stability_bounds",
     "generator_from_descriptor",
 ]
-
-
-def _as_array(t):
-    """Coerce to a float array, remembering whether the input was scalar.
-
-    Extended-precision input is kept as is so callers can evaluate in
-    np.longdouble; everything else becomes float64.
-    """
-    arr = np.asarray(t)
-    if arr.dtype != np.longdouble:
-        arr = arr.astype(float)
-    return arr, arr.ndim == 0
-
-
-def _bspline_value(m: int, t: np.ndarray) -> np.ndarray:
-    """Q_m(t) for m >= 1 via truncated powers, clamped to zero off [0, m].
-
-    Q_1 is the indicator of [0, 1); derivative chains below rely on its
-    right-continuity at the knots.
-    """
-    if m == 1:
-        return ((t >= 0.0) & (t < 1.0)).astype(t.dtype)
-    out = np.zeros_like(t)
-    inside = (t > 0.0) & (t < m)
-    if inside.any():
-        ti = t[inside]
-        acc = np.zeros_like(ti)
-        for j in range(m + 1):
-            x = np.maximum(ti - j, 0.0)
-            acc += ((-1) ** j * comb(m, j)) * x ** (m - 1)
-        out[inside] = acc / factorial(m - 1)
-    return out
-
-
-def _bspline_deriv(m: int, s: int, t: np.ndarray) -> np.ndarray:
-    """Q_m^{(s)}(t) through the difference recursion Q_m' = Q_{m-1} - Q_{m-1}(.-1)."""
-    acc = np.zeros_like(t)
-    for k in range(s + 1):
-        acc += ((-1) ** k * comb(s, k)) * _bspline_value(m - s, t - k)
-    return acc
-
-
-def bspline_eval(m: int, s: int, t):
-    """Evaluate the s-th derivative of the cardinal B-spline Q_m at t.
-
-    Values at knots use right-hand limits.  s up to m-1 is permitted; the
-    top order is piecewise constant with one-sided values at the knots.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ValueError(f"B-spline order must be an integer >= 2, got {m!r}")
-    if not 0 <= s <= m - 1:
-        raise ValueError(f"derivative order {s} out of range for Q_{m}")
-    arr, scalar = _as_array(t)
-    out = _bspline_deriv(m, s, arr)
-    return float(out) if scalar else out
 
 
 class Generator:
@@ -93,11 +42,20 @@ class Generator:
     regularity: int
 
     def eval(self, t, s: int = 0):
-        raise NotImplementedError
+        """phi^(s)(t): piece(floor(t), t - floor(t), s) on [0, mu), zero off
+        it.  Values at the knots are right-hand limits; NaN stays NaN."""
+        arr = np.asarray(t, dtype=float)
+        off = (arr < 0.0) | (arr >= self.mu)
+        x = np.where(off, 0.0, arr)
+        # fmax sends a NaN t to piece 0, where u = NaN carries it through
+        q = np.fmax(np.floor(x), 0.0)
+        out = np.where(off, 0.0, self.piece(q.astype(np.intp), x - q, s))
+        return float(out) if arr.ndim == 0 else out
 
-    def piece(self, q: int, u: np.ndarray) -> np.ndarray:
-        """phi(q + u) for an integer q in [0, ceil(mu)) and u in [0, 1]."""
-        return self.eval(u + q)
+    def piece(self, q, u, s: int = 0) -> np.ndarray:
+        """phi^(s)(q + u) for integers q in [0, ceil(mu)) and u in [0, 1];
+        q is an int or an integer array shaped like u."""
+        raise NotImplementedError(f"{type(self).__name__} defines no piece")
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -118,30 +76,37 @@ class BSplineGenerator(Generator):
     def eval(self, t, s: int = 0):
         if not 0 <= s <= self.m - 1:
             raise ValueError(f"derivative order {s} out of range for Q_{self.m}")
-        arr, scalar = _as_array(t)
-        out = _bspline_deriv(self.m, s, arr)
-        return float(out) if scalar else out
+        return super().eval(t, s)
 
     @cached_property
-    def _pieces(self) -> np.ndarray:
-        """C[q, k] with Q_m(q + u) = sum_k C[q, k] u^k on [q, q + 1).
+    def _pieces(self) -> tuple:
+        """_pieces[s][k, q] with Q_m^(s)(q + u) = sum_k _pieces[s][k, q] u^k
+        on [q, q + 1), for s = 0..m-1.
 
         Expanded exactly from the truncated powers
-        Q_m(t) = sum_j (-1)^j C(m, j) (t - j)_+^(m-1) / (m-1)!.
+        Q_m(t) = sum_j (-1)^j C(m, j) (t - j)_+^(m-1) / (m-1)!,
+        differentiated exactly, and rounded once.
         """
         m = self.m
-        out = np.empty((m, m))
+        exact = np.empty((m, m), dtype=object)
         for q in range(m):
             for k in range(m):
                 acc = sum((-1) ** j * comb(m, j) * (q - j) ** (m - 1 - k)
                           for j in range(q + 1))
-                out[q, k] = float(Fraction(comb(m - 1, k) * acc, factorial(m - 1)))
-        return out
+                exact[k, q] = Fraction(comb(m - 1, k) * acc, factorial(m - 1))
+        out = []
+        for _ in range(m):
+            out.append(exact.astype(float))
+            # d/du sum_k c_k u^k = sum_k (k + 1) c_(k+1) u^k
+            exact = exact[1:] * np.arange(1, len(exact))[:, None]
+        return tuple(out)
 
-    def piece(self, q: int, u: np.ndarray) -> np.ndarray:
-        """Q_m(q + u) by Horner on the local polynomial of piece q."""
-        coef = self._pieces[q]
-        val = np.full(np.shape(u), coef[-1])
+    def piece(self, q, u, s: int = 0) -> np.ndarray:
+        """Q_m^(s)(q + u) by Horner on the local polynomial of piece q."""
+        coef = self._pieces[s][:, q]
+        # u * 0.0 carries a NaN u through the constant pieces of Q_m^(m-1)
+        val = u * 0.0
+        val += coef[-1]
         for c in coef[-2::-1]:
             val *= u
             val += c
@@ -224,8 +189,6 @@ def _daubechies_table(d: int, level: int):
         gap = float(np.abs(acc - 0.5 * (fine[:-1:2] + fine[2::2])).max())
         values = fine
     # holds exactly by construction; guards against a broken filter
-    if gap > 1e-2:
-        raise RuntimeError(f"cascade failed to converge: level gap {gap:.3e}")
     resid = _refinement_residual(h, values, level)
     if resid > 1e-8:
         raise RuntimeError(f"cascade failed to converge: refinement residual {resid:.3e}")
@@ -277,24 +240,15 @@ class DaubechiesGenerator(Generator):
         self.taps, self._values, self.level_gap = _daubechies_table(self.d, self.level)
         self.mu = float(2 * self.d - 1)
         self.regularity = 0
-        self._grid = np.arange(len(self._values)) * 2.0 ** (-self.level)
 
-    def eval(self, t, s: int = 0):
-        if s != 0:
-            raise ValueError("Daubechies generator exposes function values only")
-        arr, scalar = _as_array(t)
-        # np.interp rejects extended precision; the table is float64 anyway
-        arr = arr.astype(float, copy=False)
-        out = np.interp(arr, self._grid, self._values, left=0.0, right=0.0)
-        out = np.where((arr <= 0.0) | (arr >= self.mu), 0.0, out)
-        return float(out) if scalar else out
-
-    def piece(self, q: int, u: np.ndarray) -> np.ndarray:
+    def piece(self, q, u, s: int = 0) -> np.ndarray:
         """phi(q + u) straight from the dyadic table, as np.interp reads it.
 
         The table steps by 2^-level, so u * 2^level and the slope are exact
         and the linear interpolation rounds as np.interp's does.
         """
+        if s != 0:
+            raise ValueError("Daubechies generator exposes function values only")
         scale = 1 << self.level
         pos = u * scale
         # fmin/fmax clamp a NaN u to a valid cell; the NaN returns through frac
@@ -344,14 +298,16 @@ class TabulatedGenerator(Generator):
     def eval(self, t, s: int = 0):
         if not 0 <= s <= self.regularity:
             raise ValueError(f"derivative order {s} above table regularity")
-        arr, scalar = _as_array(t)
-        arr = arr.astype(float, copy=False)
+        arr = np.asarray(t, dtype=float)
         vals = self.values
         for _ in range(s):
             vals = np.gradient(vals, self.step)
         out = np.interp(arr, self.grid, vals, left=0.0, right=0.0)
         out = np.where((arr <= 0.0) | (arr >= self.mu), 0.0, out)
-        return float(out) if scalar else out
+        return float(out) if arr.ndim == 0 else out
+
+    def piece(self, q, u, s: int = 0) -> np.ndarray:
+        return self.eval(u + q, s)
 
     def descriptor(self) -> dict:
         return {
@@ -421,37 +377,23 @@ def _expand(gen: Generator, shifts, coefs, x) -> np.ndarray:
     return out
 
 
-def _bspline_stability(m: int, w: np.ndarray) -> np.ndarray:
-    """Phi(w) = sum_n |phihat(w + n)|^2 with |phihat(w)|^2 = sinc(w)^(2m).
-
-    The sum is truncated where the term envelope (pi n)^(-2m) drops
-    below 1e-14.
-    """
-    n_max = int(np.ceil(10.0 ** (14.0 / (2 * m)) / np.pi)) + 1
-    total = np.zeros_like(w)
-    block = max(1, min(n_max, 1 << 14))
-    for start in range(-n_max, n_max + 1, block):
-        ns = np.arange(start, min(start + block, n_max + 1))
-        total += (np.sinc(w[:, None] + ns[None, :]) ** (2 * m)).sum(axis=1)
-    return total
-
-
 def _autocorrelation(gen: Generator) -> np.ndarray:
     """Integer-lag autocorrelation a(k) = int phi(t) phi(t - k) dt, k = 0..ceil(mu)-1.
 
+    B-splines: a(k) = Q_2m(m + k), since Q_m * Q_m(-.) = Q_2m(. + m).
     Daubechies: a(k) = sum_m c_m a(2k - m) with c the taps' autocorrelation
-    (Lawton 1991).  Others: exact for the piecewise-linear model, on whose
+    (Lawton 1991).  Tabulated: exact for the piecewise-linear model, on whose
     cells the product of two linear pieces integrates in closed form.
     """
+    if isinstance(gen, BSplineGenerator):
+        return BSplineGenerator(2 * gen.m).eval(gen.m + np.arange(gen.m, dtype=float))
     if isinstance(gen, DaubechiesGenerator):
         n = len(gen.taps) - 1
         return _refinement_fixed_point(np.correlate(gen.taps, gen.taps, "full"),
                                        -n, 1 - n, n)[n - 1:]
-    if isinstance(gen, TabulatedGenerator):
-        step, vals = gen.step, gen.values
-    else:
-        grid = np.linspace(0.0, gen.mu, 4097)
-        step, vals = grid[1] - grid[0], np.asarray(gen.eval(grid))
+    if not isinstance(gen, TabulatedGenerator):
+        raise TypeError(f"no autocorrelation for {type(gen).__name__}")
+    step, vals = gen.step, gen.values
     n_lags = int(np.ceil(gen.mu))
     grid = np.arange(len(vals)) * step
     out = np.zeros(n_lags)
@@ -465,19 +407,14 @@ def _autocorrelation(gen: Generator) -> np.ndarray:
 
 
 def stability_bounds(gen: Generator, grid_n: int = 256) -> tuple[float, float]:
-    """Extremes over w in [0, 1] of Phi(w) = sum_n |phihat(w + n)|^2.
-
-    B-splines use the analytic sinc-power form of phihat; the others use the
-    equivalent finite cosine sum over the integer-lag autocorrelation.
-    """
+    """Extremes over w in [0, 1] of Phi(w) = sum_n |phihat(w + n)|^2, from the
+    finite cosine sum a(0) + 2 sum_k a(k) cos(2 pi k w) over the integer-lag
+    autocorrelation a."""
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
     w = np.linspace(0.0, 1.0, grid_n)
-    if isinstance(gen, BSplineGenerator):
-        phi = _bspline_stability(gen.m, w)
-    else:
-        corr = _autocorrelation(gen)
-        phi = np.full_like(w, corr[0])
-        for k in range(1, len(corr)):
-            phi += 2.0 * corr[k] * np.cos(2.0 * np.pi * k * w)
+    corr = _autocorrelation(gen)
+    phi = np.full_like(w, corr[0])
+    for k in range(1, len(corr)):
+        phi += 2.0 * corr[k] * np.cos(2.0 * np.pi * k * w)
     return float(phi.min()), float(phi.max())

@@ -27,7 +27,7 @@ from math import ceil, floor, fsum
 
 import numpy as np
 
-from .generators import _as_array, _expand, generator_from_descriptor
+from .generators import _expand, generator_from_descriptor
 from .polyphase import CIS_THRESHOLD, LaurentMatrix, SamplingScheme
 
 __all__ = [
@@ -171,31 +171,15 @@ class KernelSet:
         return shifts.copy(), coefs.copy()
 
     def kernel(self, n: int, i: int, t):
-        return _kernel_values(self, n, i, t)
+        """K_ni(t) from its term table."""
+        if not 0 <= n < self.scheme.L or not 0 <= i < self.scheme.r:
+            raise IndexError(f"kernel index ({n}, {i}) out of range")
+        out = _expand(self.gen, *self._terms[n, i], t)
+        return float(out) if out.ndim == 0 else out
 
     def __repr__(self):
         return (f"KernelSet(gen={self.gen!r}, scheme={self.scheme!r}, "
                 f"epsilons={self.epsilons}, support={self.support})")
-
-
-def _kernel_values(ks, n: int, i: int, t):
-    """K_ni(t) from the term table, in t's dtype (np.longdouble is kept).
-
-    A direct sum over the table: for the few points of a per-point call it
-    costs less than setting up the piece-wise expansion of `_series`.
-    """
-    if not 0 <= n < ks.scheme.L or not 0 <= i < ks.scheme.r:
-        raise IndexError(f"kernel index ({n}, {i}) out of range")
-    shifts, coefs = ks._terms[n, i]
-    arr, scalar = _as_array(t)
-    arr = np.atleast_1d(arr)
-    if len(shifts) == 0:
-        out = np.zeros_like(arr)
-    else:
-        args = arr[None, :] - shifts[:, None]
-        vals = ks.gen.eval(args.ravel()).reshape(len(shifts), -1)
-        out = np.asarray(coefs, dtype=arr.dtype) @ vals
-    return float(out[0]) if scalar else out
 
 
 def _periods(ks, x) -> np.ndarray:

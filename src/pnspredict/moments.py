@@ -21,7 +21,6 @@ from math import comb, factorial, floor
 import numpy as np
 
 from .approximation import _series_eval
-from .kernels import _kernel_values
 
 __all__ = ["MomentReport", "moment_defects", "reproduction_order"]
 
@@ -55,10 +54,11 @@ def moment_defects(ks, degree: int, t_grid) -> tuple:
     of |moment sum of degree j minus delta_{j0}|.
 
     Every kernel is evaluated once, on the (t, l) grid of the periods l
-    whose window can hold t, and feeds the sums of all degrees.  Carried in
-    extended precision: modified kernels carry weights in the thousands,
-    and the cancellation down to ~1e-9 defects is below the float64 noise
-    floor of the naive sum.
+    whose window can hold t, and feeds the sums of all degrees.  phi is
+    read in float64; the weighted sum of its copies and the moment sums are
+    carried in extended precision: modified kernels carry weights in the
+    thousands, and the cancellation down to ~1e-9 defects is below the
+    float64 noise floor of the naive sum.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -78,7 +78,9 @@ def moment_defects(ks, degree: int, t_grid) -> tuple:
     for n, x in enumerate(scheme.offsets):
         diff = work(x) - tau
         for i in range(min(degree, scheme.r - 1) + 1):
-            term = _kernel_values(ks, n, i, tau.ravel()).reshape(tau.shape)
+            shifts, coefs = ks._terms[n, i]
+            phi = ks.gen.eval(tau.ravel() - shifts[:, None])
+            term = (coefs.astype(work) @ phi).reshape(tau.shape)
             for j in range(i, degree + 1):
                 acc[j] += (comb(j, i) * factorial(i)) * term.sum(axis=1)
                 term = term * diff

@@ -228,7 +228,7 @@ def test_frame_bounds_collapse_for_singular_scheme(q3, scheme_cubic_split):
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(-0.5, 0.5))
 def test_zak_transform_quasi_periodicity(x, y):
-    f = lambda t: pp.bspline_eval(4, 0, t)
+    f = pp.BSplineGenerator(4).eval
     lhs = zak_transform(f, 1.0, x + 1.0, y, 8)
     rhs = np.exp(2j * np.pi * y) * zak_transform(f, 1.0, x, y, 8)
     assert lhs == pytest.approx(rhs, abs=1e-12)
