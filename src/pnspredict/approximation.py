@@ -5,6 +5,10 @@
 
 covers both the two-sided operator (K = Theta) and the causal predictor
 (K = Theta~); the kernel object supplies its own support and term table.
+Reconstruction (kernels.reconstruct) is its W = 1 case, and the causal
+predictor (prediction.predict) reads it at one point.  All of them go
+through `kernels._series_eval`, which sums over the periods l whose
+closed kernel window [lo, hi] + rho l holds W t (`kernels._periods`).
 
 Every K_ni is a finite table of shifted copies of phi, so S_W f is itself
 one expansion sum_j b_j phi(W t - s_j).  It is evaluated that way: the
@@ -23,7 +27,7 @@ from math import ceil, comb, isfinite
 
 import numpy as np
 
-from .kernels import _periods, _samples, _series
+from .kernels import _series_eval
 
 __all__ = [
     "TestSignal",
@@ -91,24 +95,11 @@ def builtin_signal(name: str) -> TestSignal:
     raise ValueError(f"unknown built-in signal {name!r}")
 
 
-def _series_eval(kset, source, W: float, ts: np.ndarray) -> np.ndarray:
-    """Evaluate the sampling series at the points ts (any order).
-
-    source is any sample source `kernels._samples` reads; the samples are
-    taken over the closed period range of the points.
-    """
-    wt = W * ts
-    periods = _periods(kset, wt)
-    return _series(kset, periods, _samples(kset, source, W, periods), wt)
-
-
 def approx_operator(kset, signal: TestSignal, W: float, t):
     """Value of the sampling series S_W f at t (scalar or array)."""
     if W <= 0:
         raise ValueError("W must be positive")
-    arr = np.asarray(t, dtype=float)
-    vals = _series_eval(kset, signal, W, np.atleast_1d(arr))
-    return float(vals[0]) if arr.ndim == 0 else vals
+    return _series_eval(kset, signal, W, t)
 
 
 # Errors below this are rounding noise: relative changes and slopes mean nothing.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
@@ -25,8 +25,7 @@ from .kernels import (KernelSet, SingularSamplePointError, build_kernels,
 from .moments import reproduction_order
 from .polyphase import (CIS_THRESHOLD, SamplingScheme, build_polyphase,
                         cis_determinant, det_on_circle, frame_bounds)
-from .prediction import (equally_spaced_weights, lagrange_weights,
-                         modify_kernels, window_bound)
+from .prediction import lagrange_weights, modify_kernels, window_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -203,9 +202,11 @@ def _resolve_prediction(raw: _Raw, scheme: SamplingScheme):
             if d is None:
                 raw._fail("prediction.eps0", "prediction.spacing is required "
                           "with prediction.eps0")
+            if d <= 0:
+                raw._fail("prediction.eps0", "spacing must be positive")
+            if eps0 <= 0:
+                raw._fail("prediction.eps0", "eps0 must be positive")
             eps = tuple(eps0 + p * d for p in range(scheme.rho))
-            if weights is None:
-                weights = tuple(equally_spaced_weights(eps0, d, scheme.rho))
         if weights is None:
             weights = tuple(lagrange_weights(eps))
     except ValueError as exc:
@@ -311,6 +312,11 @@ def load_config(path: str) -> RunConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {source}: {exc}")
+    return _resolve_config(text, source)
+
+
+def _resolve_config(text: str, source: str) -> RunConfig:
+    """The run configuration of config text; `source` names it in errors."""
     raw = _Raw(parse_config_text(text, source), source)
     gen = _resolve_generator(raw)
     scheme = _resolve_scheme(raw)
@@ -367,156 +373,20 @@ def _write_resolved(cfg: RunConfig, out: Path):
     (out / "resolved.cfg").write_text("\n".join(lines) + "\n")
 
 
-def _prepare_out(out_dir: str) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _echo(quiet: bool, msg: str):
     if not quiet:
         click.echo(msg)
 
 
-def _build_kernel_set(gen, scheme: SamplingScheme) -> KernelSet:
-    psi = build_polyphase(gen, scheme)
-    return build_kernels(gen, scheme, invert_polyphase(psi))
-
-
-def _moment_tol(gen) -> float:
-    return 1e-8 if gen.kind == "bspline" else 1e-6
-
-
-_shared_options = [
-    click.option("--config", "config_path", required=True,
-                 type=click.Path(), help="flat dotted-key config file"),
-    click.option("--out", "out_dir", default="out", show_default=True,
-                 type=click.Path(file_okay=False), help="output directory"),
-    click.option("--grid", "grid_n", default=256, show_default=True,
-                 type=int, help="grid resolution for circle/curve sampling"),
-    click.option("--quiet", is_flag=True, help="suppress progress output"),
-]
-
-
-def shared_options(fn):
-    for opt in reversed(_shared_options):
-        fn = opt(fn)
-    return fn
-
-
-@click.group()
-def main():
-    """Reconstruction and causal prediction in shift-invariant spaces."""
-
-
-def _guarded(fn, quiet: bool):
+def _build_kernel_set(cfg: RunConfig, scheme: SamplingScheme = None) -> KernelSet:
+    """Kernels of cfg.gen on `scheme` (default cfg.scheme); a scheme that
+    kernel synthesis rejects is a ConfigError."""
+    scheme = cfg.scheme if scheme is None else scheme
     try:
-        return fn()
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except SingularSamplePointError as exc:
-        click.echo(f"not a complete interpolation set: {exc}", err=True)
-        sys.exit(EXIT_NOT_CIS)
-
-
-@main.command("check-cis")
-@shared_options
-def cmd_check_cis(config_path, out_dir, grid_n, quiet):
-    """Test the complete-interpolation-set property of the configured scheme."""
-
-    def run():
-        cfg = load_config(config_path)
-        out = _prepare_out(out_dir)
-        _write_resolved(cfg, out)
-        try:
-            psi = build_polyphase(cfg.gen, cfg.scheme)
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.source}: {exc}")
-        lines = []
-        if cfg.scheme.s is not None and cfg.scheme.rho >= cfg.gen.mu:
-            det_c = cis_determinant(cfg.gen, cfg.scheme)
-            lines.append(f"det C = {det_c!r}")
-        else:
-            lines.append("det C = n/a (offsets span cells or rho < mu)")
-        min_abs, argmin = det_on_circle(psi, grid_n)
-        lines.append(f"min |det Psi| = {min_abs!r} at x = {argmin!r}")
-        phi_min, phi_max = stability_bounds(cfg.gen)
-        A, B = frame_bounds(psi, phi_min, phi_max, grid_n)
-        lines.append(f"frame bounds A = {A!r}, B = {B!r}")
-        cis = min_abs > CIS_THRESHOLD
-        lines.append(f"verdict: {'CIS' if cis else 'not a CIS'} of order "
-                     f"{cfg.scheme.r - 1}")
-        (out / "check_cis.txt").write_text("\n".join(lines) + "\n")
-        for line in lines:
-            _echo(quiet, line)
-        return EXIT_OK if cis else EXIT_NOT_CIS
-
-    sys.exit(_guarded(run, quiet))
-
-
-@main.command("kernels")
-@shared_options
-def cmd_kernels(config_path, out_dir, grid_n, quiet):
-    """Build the interpolating kernels and write them with sampled curves."""
-
-    def run():
-        cfg = load_config(config_path)
-        out = _prepare_out(out_dir)
-        _write_resolved(cfg, out)
-        try:
-            ks = _build_kernel_set(cfg.gen, cfg.scheme)
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.source}: {exc}")
-        save_kernels(ks, out / "kernels.json")
-        lo, hi = ks.support
-        ts = np.linspace(lo, hi, grid_n)
-        header = ["t"]
-        cols = [ts]
-        for n in range(cfg.scheme.L):
-            for i in range(cfg.scheme.r):
-                header.append(f"theta_{n}_{i}")
-                cols.append(ks.kernel(n, i, ts))
-        write_csv(out / "kernel_curves.csv", header,
-                  [[float(c[k]) for c in cols] for k in range(len(ts))])
-        _echo(quiet, f"kernel support [{lo:g}, {hi:g}]")
-        for n in range(cfg.scheme.L):
-            for i in range(cfg.scheme.r):
-                shifts, coefs = ks.term_table(n, i)
-                pieces = ", ".join(f"{c:+.6g} phi(t - {sh:g})"
-                                   for sh, c in zip(shifts, coefs))
-                _echo(quiet, f"theta_{n}_{i}(t) = {pieces}")
-        _echo(quiet, f"wrote {out / 'kernels.json'} and "
-                     f"{out / 'kernel_curves.csv'}")
-        return EXIT_OK
-
-    sys.exit(_guarded(run, quiet))
-
-
-@main.command("moments")
-@shared_options
-def cmd_moments(config_path, out_dir, grid_n, quiet):
-    """Report vanishing-moment defects and the reproduction order."""
-
-    def run():
-        cfg = load_config(config_path)
-        out = _prepare_out(out_dir)
-        _write_resolved(cfg, out)
-        try:
-            ks = _build_kernel_set(cfg.gen, cfg.scheme)
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.source}: {exc}")
-        report = reproduction_order(ks, tol=_moment_tol(cfg.gen))
-        rows = [[j, float(d),
-                 float(report.cross_defects[j]) if j < len(report.cross_defects)
-                 else ""]
-                for j, d in enumerate(report.defects)]
-        write_csv(out / "moments.csv", ["degree", "defect", "monomial_check"],
-                  rows)
-        _echo(quiet, str(report))
-        return EXIT_OK
-
-    sys.exit(_guarded(run, quiet))
+        psi = build_polyphase(cfg.gen, scheme)
+        return build_kernels(cfg.gen, scheme, invert_polyphase(psi))
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.source}: {exc}")
 
 
 def _require_prediction(cfg: RunConfig, ks: KernelSet):
@@ -529,130 +399,229 @@ def _require_prediction(cfg: RunConfig, ks: KernelSet):
         raise ConfigError(f"{cfg.source}: {exc}")
 
 
-@main.command("predict")
-@shared_options
-@click.option("--kernels", "kernels_path", type=click.Path(exists=True),
-              default=None, help="reload a serialized kernel set instead of "
-              "rebuilding it")
-def cmd_predict(config_path, out_dir, grid_n, quiet, kernels_path):
-    """Run the causal predictor over the configured W values."""
+def _moment_tol(gen) -> float:
+    return 1e-8 if gen.kind == "bspline" else 1e-6
 
-    def run():
-        cfg = load_config(config_path)
-        out = _prepare_out(out_dir)
-        _write_resolved(cfg, out)
-        if kernels_path is not None:
-            ks = load_kernels(kernels_path)
-        else:
+
+@click.group()
+def main():
+    """Reconstruction and causal prediction in shift-invariant spaces."""
+
+
+def _subcommand(name, *extra_options, builtin=None, setup=None):
+    """Register body(cfg, out, grid_n, quiet, **extra) as subcommand `name`.
+
+    The command resolves --config (or, when it is absent, the `builtin`
+    pair of config text and source name), passes the RunConfig through
+    `setup`, creates --out, writes resolved.cfg there, runs the body and
+    exits with its code.  ConfigError exits 2 and SingularSamplePointError
+    exits 3, each with its message on stderr.
+    """
+    if builtin is None:
+        config = click.option("--config", "config_path", required=True,
+                              type=click.Path(), help="flat dotted-key config file")
+        helps = ("output directory", "grid resolution for circle/curve sampling",
+                 "suppress progress output")
+    else:
+        config = click.option("--config", "config_path", default=None,
+                              type=click.Path(), help="optional config "
+                              "overriding the built-in quartic setup")
+        helps = (None, None, None)      # table1 lists these three without text
+    options = [
+        config,
+        click.option("--out", "out_dir", default="out", show_default=True,
+                     type=click.Path(file_okay=False), help=helps[0]),
+        click.option("--grid", "grid_n", default=256, show_default=True,
+                     type=int, help=helps[1]),
+        click.option("--quiet", is_flag=True, help=helps[2]),
+        *extra_options,
+    ]
+
+    def register(body):
+        def command(config_path, out_dir, grid_n, quiet, **extra):
             try:
-                ks = _build_kernel_set(cfg.gen, cfg.scheme)
-            except ValueError as exc:
-                raise ConfigError(f"{cfg.source}: {exc}")
-        ps = _require_prediction(cfg, ks)
-        save_kernels(ps, out / "prediction.json")
-        lo, hi = ps.support
-        _echo(quiet, f"support [{lo:g}, {hi:g}]")
-        bound = window_bound(ps)
-        _echo(quiet, f"past samples per evaluation <= "
-                     f"{cfg.scheme.rho * bound} (|window| <= {bound})")
-        report = reproduction_order(ps, tol=_moment_tol(cfg.gen))
-        _echo(quiet, f"reproduction order kappa = {report.kappa}")
-        a, b = _default_interval(cfg.signal)
-        errors = []
-        for W in cfg.W_list:
-            ts = np.linspace(a, b, grid_n)
-            fs = np.asarray(cfg.signal.eval(ts), dtype=float)
-            ps_vals = approx_operator(ps, cfg.signal, W, ts)
-            write_csv(out / f"trace_W{W:g}.csv", ["t", "f", "prediction"],
-                      [[float(ts[k]), float(fs[k]), float(ps_vals[k])]
-                       for k in range(len(ts))])
-            err = lp_error(ps, cfg.signal, W, cfg.p)
-            errors.append(err)
-            _echo(quiet, f"W = {W:g}: L^{cfg.p:g} error {err:.6e}")
-        write_csv(out / "errors.csv", ["W", "error"],
-                  [[float(w), float(e)] for w, e in zip(cfg.W_list, errors)])
-        return EXIT_OK
+                cfg = (_resolve_config(*builtin) if config_path is None
+                       else load_config(config_path))
+                if setup is not None:
+                    cfg = setup(cfg)
+                out = Path(out_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                _write_resolved(cfg, out)
+                code = body(cfg, out, grid_n, quiet, **extra)
+            except ConfigError as exc:
+                click.echo(f"config error: {exc}", err=True)
+                code = EXIT_CONFIG
+            except SingularSamplePointError as exc:
+                click.echo(f"not a complete interpolation set: {exc}", err=True)
+                code = EXIT_NOT_CIS
+            sys.exit(code)
 
-    sys.exit(_guarded(run, quiet))
+        for option in reversed(options):
+            command = option(command)
+        return main.command(name, help=body.__doc__)(command)
+
+    return register
 
 
-@main.command("convergence")
-@shared_options
-def cmd_convergence(config_path, out_dir, grid_n, quiet):
+@_subcommand("check-cis")
+def cmd_check_cis(cfg, out, grid_n, quiet):
+    """Test the complete-interpolation-set property of the configured scheme."""
+    try:
+        psi = build_polyphase(cfg.gen, cfg.scheme)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.source}: {exc}")
+    lines = []
+    if cfg.scheme.s is not None and cfg.scheme.rho >= cfg.gen.mu:
+        det_c = cis_determinant(cfg.gen, cfg.scheme)
+        lines.append(f"det C = {det_c!r}")
+    else:
+        lines.append("det C = n/a (offsets span cells or rho < mu)")
+    min_abs, argmin = det_on_circle(psi, grid_n)
+    lines.append(f"min |det Psi| = {min_abs!r} at x = {argmin!r}")
+    phi_min, phi_max = stability_bounds(cfg.gen)
+    A, B = frame_bounds(psi, phi_min, phi_max, grid_n)
+    lines.append(f"frame bounds A = {A!r}, B = {B!r}")
+    cis = min_abs > CIS_THRESHOLD
+    lines.append(f"verdict: {'CIS' if cis else 'not a CIS'} of order "
+                 f"{cfg.scheme.r - 1}")
+    (out / "check_cis.txt").write_text("\n".join(lines) + "\n")
+    for line in lines:
+        _echo(quiet, line)
+    return EXIT_OK if cis else EXIT_NOT_CIS
+
+
+@_subcommand("kernels")
+def cmd_kernels(cfg, out, grid_n, quiet):
+    """Build the interpolating kernels and write them with sampled curves."""
+    ks = _build_kernel_set(cfg)
+    save_kernels(ks, out / "kernels.json")
+    lo, hi = ks.support
+    ts = np.linspace(lo, hi, grid_n)
+    header = ["t"]
+    cols = [ts]
+    for n in range(cfg.scheme.L):
+        for i in range(cfg.scheme.r):
+            header.append(f"theta_{n}_{i}")
+            cols.append(ks.kernel(n, i, ts))
+    write_csv(out / "kernel_curves.csv", header,
+              [[float(c[k]) for c in cols] for k in range(len(ts))])
+    _echo(quiet, f"kernel support [{lo:g}, {hi:g}]")
+    for n in range(cfg.scheme.L):
+        for i in range(cfg.scheme.r):
+            shifts, coefs = ks.term_table(n, i)
+            pieces = ", ".join(f"{c:+.6g} phi(t - {sh:g})"
+                               for sh, c in zip(shifts, coefs))
+            _echo(quiet, f"theta_{n}_{i}(t) = {pieces}")
+    _echo(quiet, f"wrote {out / 'kernels.json'} and "
+                 f"{out / 'kernel_curves.csv'}")
+    return EXIT_OK
+
+
+@_subcommand("moments")
+def cmd_moments(cfg, out, grid_n, quiet):
+    """Report vanishing-moment defects and the reproduction order."""
+    report = reproduction_order(_build_kernel_set(cfg), tol=_moment_tol(cfg.gen))
+    rows = [[j, float(d),
+             float(report.cross_defects[j]) if j < len(report.cross_defects)
+             else ""]
+            for j, d in enumerate(report.defects)]
+    write_csv(out / "moments.csv", ["degree", "defect", "monomial_check"], rows)
+    _echo(quiet, str(report))
+    return EXIT_OK
+
+
+@_subcommand("predict",
+             click.option("--kernels", "kernels_path",
+                          type=click.Path(exists=True), default=None,
+                          help="reload a serialized kernel set instead of "
+                          "rebuilding it"))
+def cmd_predict(cfg, out, grid_n, quiet, kernels_path):
+    """Run the causal predictor over the configured W values."""
+    ks = (_build_kernel_set(cfg) if kernels_path is None
+          else load_kernels(kernels_path))
+    ps = _require_prediction(cfg, ks)
+    save_kernels(ps, out / "prediction.json")
+    lo, hi = ps.support
+    _echo(quiet, f"support [{lo:g}, {hi:g}]")
+    bound = window_bound(ps)
+    _echo(quiet, f"past samples per evaluation <= "
+                 f"{cfg.scheme.rho * bound} (|window| <= {bound})")
+    report = reproduction_order(ps, tol=_moment_tol(cfg.gen))
+    _echo(quiet, f"reproduction order kappa = {report.kappa}")
+    a, b = _default_interval(cfg.signal)
+    errors = []
+    for W in cfg.W_list:
+        ts = np.linspace(a, b, grid_n)
+        fs = np.asarray(cfg.signal.eval(ts), dtype=float)
+        ps_vals = approx_operator(ps, cfg.signal, W, ts)
+        write_csv(out / f"trace_W{W:g}.csv", ["t", "f", "prediction"],
+                  [[float(ts[k]), float(fs[k]), float(ps_vals[k])]
+                   for k in range(len(ts))])
+        err = lp_error(ps, cfg.signal, W, cfg.p)
+        errors.append(err)
+        _echo(quiet, f"W = {W:g}: L^{cfg.p:g} error {err:.6e}")
+    write_csv(out / "errors.csv", ["W", "error"],
+              [[float(w), float(e)] for w, e in zip(cfg.W_list, errors)])
+    return EXIT_OK
+
+
+@_subcommand("convergence")
+def cmd_convergence(cfg, out, grid_n, quiet):
     """Fit the error decay rate over the configured W ladder."""
-
-    def run():
-        cfg = load_config(config_path)
-        out = _prepare_out(out_dir)
-        _write_resolved(cfg, out)
-        try:
-            ks = _build_kernel_set(cfg.gen, cfg.scheme)
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.source}: {exc}")
-        kset = _require_prediction(cfg, ks) if cfg.epsilons is not None else ks
-        if len(cfg.W_list) < 3:
-            raise ConfigError(f"{cfg.source}: W.list needs at least three values")
-        report = convergence_study(kset, cfg.signal, cfg.W_list, cfg.p)
-        write_csv(out / "convergence.csv", ["W", "error"],
-                  [[float(w), float(e)] for w, e in report.rows])
-        _echo(quiet, str(report))
-        return EXIT_OK
-
-    sys.exit(_guarded(run, quiet))
+    ks = _build_kernel_set(cfg)
+    kset = _require_prediction(cfg, ks) if cfg.epsilons is not None else ks
+    if len(cfg.W_list) < 3:
+        raise ConfigError(f"{cfg.source}: W.list needs at least three values")
+    report = convergence_study(kset, cfg.signal, cfg.W_list, cfg.p)
+    write_csv(out / "convergence.csv", ["W", "error"],
+              [[float(w), float(e)] for w, e in report.rows])
+    _echo(quiet, str(report))
+    return EXIT_OK
 
 
-@main.command("table1")
-@click.option("--config", "config_path", default=None, type=click.Path(),
-              help="optional config overriding the built-in quartic setup")
-@click.option("--out", "out_dir", default="out", show_default=True,
-              type=click.Path(file_okay=False))
-@click.option("--grid", "grid_n", default=256, show_default=True, type=int)
-@click.option("--quiet", is_flag=True)
-def cmd_table1(config_path, out_dir, grid_n, quiet):
+# The quartic_r1 example (configs/quartic_r1.cfg): table1's set-up when no
+# --config is given.
+_TABLE1_BUILTIN = ("""\
+generator.kind = bspline
+generator.order = 4
+scheme.offset_mode = equally_spaced
+scheme.L = 4
+scheme.r = 1
+scheme.s = 0
+prediction.eps0 = 4.0
+prediction.spacing = 0.25
+signal.name = f
+W.list = 5, 7, 10, 15, 20, 25, 30
+error.p = 2
+""", "<builtin quartic setup>")
+
+
+def _equally_spaced_family(cfg: RunConfig) -> RunConfig:
+    """cfg on the equally spaced offsets of its (L, r, s): the first of
+    table1's two offset families, and the one resolved.cfg records."""
+    L, r, s = cfg.scheme.L, cfg.scheme.r, cfg.scheme.s
+    if s is None:
+        raise ConfigError(f"{cfg.source}: offsets must lie in one cell")
+    return replace(cfg, scheme=SamplingScheme.equally_spaced(L, r, s))
+
+
+@_subcommand("table1", builtin=_TABLE1_BUILTIN, setup=_equally_spaced_family)
+def cmd_table1(cfg, out, grid_n, quiet):
     """Prediction errors over the W ladder for both offset families."""
-
-    def run():
-        if config_path is None:
-            gen = BSplineGenerator(4)
-            L, r, s = 4, 1, 0
-            epsilons = (4.0, 4.25, 4.5, 4.75)
-            weights = tuple(lagrange_weights(epsilons))
-            signal = builtin_signal("f")
-            W_list = DEFAULT_W
-            p = 2.0
-        else:
-            cfg = load_config(config_path)
-            if cfg.epsilons is None:
-                raise ConfigError(f"{cfg.source}: prediction nodes are required")
-            if cfg.scheme.s is None:
-                raise ConfigError(f"{cfg.source}: offsets must lie in one cell")
-            gen = cfg.gen
-            L, r, s = cfg.scheme.L, cfg.scheme.r, cfg.scheme.s
-            epsilons, weights = cfg.epsilons, cfg.weights
-            signal, W_list, p = cfg.signal, cfg.W_list, cfg.p
-        out = _prepare_out(out_dir)
-        resolved = RunConfig(
-            gen=gen, scheme=SamplingScheme.equally_spaced(L, r, s),
-            epsilons=tuple(epsilons), weights=tuple(weights), signal=signal,
-            W_list=tuple(W_list), p=p,
-            source=config_path or "<builtin quartic setup>")
-        _write_resolved(resolved, out)
-        with (out / "resolved.cfg").open("a") as fh:
-            fh.write("# the run covers the chebyshev offset family as well\n")
-        columns = []
-        for family in (SamplingScheme.equally_spaced, SamplingScheme.chebyshev):
-            ks = _build_kernel_set(gen, family(L, r, s))
-            ps = modify_kernels(ks, epsilons, weights)
-            columns.append([lp_error(ps, signal, W, p) for W in W_list])
-        rows = [[float(W), float(eq), float(ch)]
-                for W, eq, ch in zip(W_list, *columns)]
-        write_csv(out / "table1.csv", ["W", "equally_spaced", "chebyshev"], rows)
-        _echo(quiet, f"{'W':>6}  {'equally spaced':>15}  {'chebyshev':>15}")
-        for W, eq, ch in rows:
-            _echo(quiet, f"{W:6g}  {eq:15.6g}  {ch:15.6g}")
-        return EXIT_OK
-
-    sys.exit(_guarded(run, quiet))
+    with (out / "resolved.cfg").open("a") as fh:
+        fh.write("# the run covers the chebyshev offset family as well\n")
+    L, r, s = cfg.scheme.L, cfg.scheme.r, cfg.scheme.s
+    columns = []
+    for family in (SamplingScheme.equally_spaced, SamplingScheme.chebyshev):
+        ps = _require_prediction(cfg, _build_kernel_set(cfg, family(L, r, s)))
+        columns.append([lp_error(ps, cfg.signal, W, cfg.p) for W in cfg.W_list])
+    rows = [[float(W), float(eq), float(ch)]
+            for W, eq, ch in zip(cfg.W_list, *columns)]
+    write_csv(out / "table1.csv", ["W", "equally_spaced", "chebyshev"], rows)
+    _echo(quiet, f"{'W':>6}  {'equally spaced':>15}  {'chebyshev':>15}")
+    for W, eq, ch in rows:
+        _echo(quiet, f"{W:6g}  {eq:15.6g}  {ch:15.6g}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ Everything is float64.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import ceil, comb, factorial, sqrt
 
 import numpy as np
@@ -61,6 +61,31 @@ class Generator:
         raise NotImplementedError
 
 
+@lru_cache(maxsize=32)
+def _bspline_pieces(m: int) -> tuple:
+    """Table [s][k, q] with Q_m^(s)(q + u) = sum_k table[s][k, q] u^k on
+    [q, q + 1), for s = 0..m-1; built once per order.
+
+    Expanded exactly from the truncated powers
+    Q_m(t) = sum_j (-1)^j C(m, j) (t - j)_+^(m-1) / (m-1)!,
+    differentiated exactly, and rounded once.
+    """
+    exact = np.empty((m, m), dtype=object)
+    for q in range(m):
+        for k in range(m):
+            acc = sum((-1) ** j * comb(m, j) * (q - j) ** (m - 1 - k)
+                      for j in range(q + 1))
+            exact[k, q] = Fraction(comb(m - 1, k) * acc, factorial(m - 1))
+    out = []
+    for _ in range(m):
+        table = exact.astype(float)
+        table.flags.writeable = False     # shared by every Q_m
+        out.append(table)
+        # d/du sum_k c_k u^k = sum_k (k + 1) c_(k+1) u^k
+        exact = exact[1:] * np.arange(1, len(exact))[:, None]
+    return tuple(out)
+
+
 class BSplineGenerator(Generator):
     """Cardinal B-spline Q_m: support [0, m], regularity m - 2."""
 
@@ -78,32 +103,9 @@ class BSplineGenerator(Generator):
             raise ValueError(f"derivative order {s} out of range for Q_{self.m}")
         return super().eval(t, s)
 
-    @cached_property
-    def _pieces(self) -> tuple:
-        """_pieces[s][k, q] with Q_m^(s)(q + u) = sum_k _pieces[s][k, q] u^k
-        on [q, q + 1), for s = 0..m-1.
-
-        Expanded exactly from the truncated powers
-        Q_m(t) = sum_j (-1)^j C(m, j) (t - j)_+^(m-1) / (m-1)!,
-        differentiated exactly, and rounded once.
-        """
-        m = self.m
-        exact = np.empty((m, m), dtype=object)
-        for q in range(m):
-            for k in range(m):
-                acc = sum((-1) ** j * comb(m, j) * (q - j) ** (m - 1 - k)
-                          for j in range(q + 1))
-                exact[k, q] = Fraction(comb(m - 1, k) * acc, factorial(m - 1))
-        out = []
-        for _ in range(m):
-            out.append(exact.astype(float))
-            # d/du sum_k c_k u^k = sum_k (k + 1) c_(k+1) u^k
-            exact = exact[1:] * np.arange(1, len(exact))[:, None]
-        return tuple(out)
-
     def piece(self, q, u, s: int = 0) -> np.ndarray:
         """Q_m^(s)(q + u) by Horner on the local polynomial of piece q."""
-        coef = self._pieces[s][:, q]
+        coef = _bspline_pieces(self.m)[s][:, q]
         # u * 0.0 carries a NaN u through the constant pieces of Q_m^(m-1)
         val = u * 0.0
         val += coef[-1]

@@ -245,6 +245,22 @@ def _series(ks, periods: np.ndarray, samples: np.ndarray, x) -> np.ndarray:
     return _expand(ks.gen, np.concatenate(shifts), np.concatenate(coefs), x)
 
 
+def _series_eval(ks, source, W: float, t):
+    """The sampling series sum_l sum_{n,i} W^-i f^(i)((x_n + rho l)/W)
+    K_ni(W t - rho l) at t: a float for a scalar t, else an array.
+
+    source is any sample source `_samples` reads; the samples are taken
+    over the periods whose closed window holds some W t (`_periods`).  The
+    points may come in any order, and each is evaluated as a 1-element
+    batch would be.
+    """
+    arr = np.asarray(t, dtype=float)
+    wt = W * np.atleast_1d(arr)
+    periods = _periods(ks, wt)
+    out = _series(ks, periods, _samples(ks, source, W, periods), wt)
+    return float(out[0]) if arr.ndim == 0 else out
+
+
 def build_kernels(gen, scheme: SamplingScheme, inv: LaurentMatrix) -> KernelSet:
     """Assemble the kernel set from the inverse polyphase coefficients."""
     stray = [k for k in inv.powers() if k not in (-1, 0)]
@@ -258,21 +274,12 @@ def build_kernels(gen, scheme: SamplingScheme, inv: LaurentMatrix) -> KernelSet:
 def reconstruct(ks: KernelSet, samples: dict, t):
     """Sum of sampled data against the kernels: recovers f on V(phi).
 
-    samples maps (n, i, l) to f^{(i)}(x_n + rho l).  Every l whose kernel
-    window meets some evaluation point must be present; missing entries
-    raise KeyError rather than being treated as zero.
+    The W = 1 case of the sampling series (`_series_eval`).  samples maps
+    (n, i, l) to f^{(i)}(x_n + rho l).  Every l whose closed kernel window
+    [lo, hi] + rho l holds some evaluation point must be present; missing
+    entries raise KeyError rather than being treated as zero.
     """
-    arr = np.asarray(t, dtype=float)
-    ts = np.sort(arr, axis=None)
-    lo, hi = ks.support
-    rho = ks.scheme.rho
-    periods = _periods(ks, ts)
-    # keep the periods whose open window (lo, hi) + rho l holds a point
-    a = np.searchsorted(ts, lo + rho * periods, side="right")
-    b = np.searchsorted(ts, hi + rho * periods, side="left")
-    periods = periods[a < b]
-    out = _series(ks, periods, _samples(ks, samples, 1.0, periods), arr)
-    return float(out) if arr.ndim == 0 else out
+    return _series_eval(ks, samples, 1.0, t)
 
 
 def kernel_doc(ks: KernelSet) -> dict:

@@ -20,7 +20,7 @@ from math import comb, factorial, floor
 
 import numpy as np
 
-from .approximation import _series_eval
+from .kernels import _series_eval
 
 __all__ = ["MomentReport", "moment_defects", "reproduction_order"]
 

@@ -19,12 +19,9 @@ bursts only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, factorial, floor, prod
+from math import factorial, floor, prod
 
-import numpy as np
-
-from .approximation import _series_eval
-from .kernels import KernelSet
+from .kernels import KernelSet, _periods, _series_eval
 
 __all__ = [
     "lagrange_weights",
@@ -96,16 +93,14 @@ def modify_kernels(ks: KernelSet, epsilons, weights=None) -> KernelSet:
 def past_window(scheme, ps: KernelSet, W: float, t: float) -> set:
     """Periods l whose samples can contribute to the prediction at t.
 
-    Solves lo <= W*t - rho*l <= hi for the support [lo, hi] of Theta~;
-    boundary ties are included (the kernel vanishes there anyway).
+    The periods whose closed window [lo, hi] + rho l of Theta~ holds W t
+    (`kernels._periods`, the rule the series itself sums over), boundary
+    ties included.  rho is read from ps.scheme; `scheme` is accepted for
+    the signature's sake.
     """
     if W <= 0:
         raise ValueError("W must be positive")
-    lo, hi = ps.support
-    rho = scheme.rho
-    l_min = ceil((W * t - hi) / rho)
-    l_max = floor((W * t - lo) / rho)
-    return set(range(l_min, l_max + 1))
+    return set(_periods(ps, W * t).tolist())
 
 
 def window_bound(ps: KernelSet) -> int:
@@ -125,4 +120,4 @@ def predict(ps: KernelSet, samples, W: float, t: float) -> float:
     """
     if W <= 0:
         raise ValueError("W must be positive")
-    return float(_series_eval(ps, samples, W, np.array([float(t)]))[0])
+    return _series_eval(ps, samples, W, float(t))

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -5,6 +8,9 @@ from click.testing import CliRunner
 from pnspredict.cli import (DEFAULT_W, EXIT_CONFIG, EXIT_NOT_CIS, EXIT_OK,
                             ConfigError, load_config, main, parse_config_text,
                             write_csv)
+from pnspredict.prediction import lagrange_weights
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 QUARTIC_CFG = """\
 generator.kind = bspline
@@ -224,10 +230,11 @@ def test_predict_without_nodes_is_config_error(runner, tmp_path):
     cfg = tmp_path / "plain.cfg"
     cfg.write_text("generator.order = 4\nscheme.offset_mode = equally_spaced\n"
                    "scheme.L = 4\nW.list = 20\n")
-    res = runner.invoke(main, ["predict", "--config", str(cfg),
-                               "--out", str(tmp_path / "p")])
-    assert res.exit_code == EXIT_CONFIG
-    assert "prediction.epsilons" in res.output
+    for sub in ("predict", "table1"):
+        res = runner.invoke(main, [sub, "--config", str(cfg),
+                                   "--out", str(tmp_path / sub)])
+        assert res.exit_code == EXIT_CONFIG
+        assert "prediction.epsilons" in res.output
 
 
 def test_signal_expression_config(runner, tmp_path):
@@ -286,3 +293,111 @@ def test_write_csv_dialect(tmp_path):
 
 def test_default_W_ladder():
     assert DEFAULT_W == (5.0, 7.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("generator.order = 4\nscheme.offset_mode = equally_spaced\nscheme.L = 4\n"
+     "prediction.eps0 = 2\nprediction.spacing = 0.25\nW.list = 5, 20\n",
+     "eps0 = 2.0 < rho = 4"),
+    ("generator.order = 2\nscheme.offset_mode = equally_spaced\nscheme.L = 1\n"
+     "scheme.r = 2\nprediction.eps0 = 4\nprediction.spacing = 0.25\n"
+     "W.list = 5, 20\n", "scheme needs derivatives up to order 1"),
+], ids=["eps0_below_rho", "r2_on_Q2"])
+def test_table1_config_errors_exit_2(runner, tmp_path, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    for sub in ("table1", "predict"):
+        res = runner.invoke(main, [sub, "--config", str(cfg),
+                                   "--out", str(tmp_path / sub)])
+        assert res.exit_code == EXIT_CONFIG
+        assert f"config error: {cfg}: {message}" in res.output
+
+
+@pytest.mark.parametrize("eps0, spacing, L", [(4.1, 0.3, 4), (6.0, 0.1, 6)])
+def test_spaced_nodes_take_lagrange_weights(tmp_path, eps0, spacing, L):
+    head = ("generator.order = 4\nscheme.offset_mode = equally_spaced\n"
+            f"scheme.L = {L}\n")
+    spaced, listed = tmp_path / "spaced.cfg", tmp_path / "listed.cfg"
+    spaced.write_text(head + f"prediction.eps0 = {eps0}\n"
+                      f"prediction.spacing = {spacing}\n")
+    cfg = load_config(str(spaced))
+    assert cfg.weights == tuple(lagrange_weights(cfg.epsilons))
+    listed.write_text(head + "prediction.epsilons = "
+                      + ", ".join(repr(e) for e in cfg.epsilons) + "\n")
+    assert load_config(str(listed)).weights == cfg.weights
+
+
+@pytest.mark.parametrize("eps0, spacing, message", [
+    (4.0, 0.0, "spacing must be positive"),
+    (4.0, -0.25, "spacing must be positive"),
+    (0.0, 0.25, "eps0 must be positive"),
+    (-1.0, 0.25, "eps0 must be positive"),
+])
+def test_spaced_nodes_need_positive_eps0_and_spacing(tmp_path, eps0, spacing,
+                                                    message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("generator.order = 4\nscheme.offset_mode = equally_spaced\n"
+                   f"scheme.L = 4\nprediction.eps0 = {eps0}\n"
+                   f"prediction.spacing = {spacing}\n")
+    with pytest.raises(ConfigError, match=rf"bad\.cfg:4: {message}"):
+        load_config(str(cfg))
+
+
+def test_builtin_table1_is_the_quartic_r1_config(runner, tmp_path):
+    builtin, given = tmp_path / "builtin", tmp_path / "given"
+    assert runner.invoke(main, ["table1", "--out", str(builtin),
+                                "--quiet"]).exit_code == EXIT_OK
+    assert runner.invoke(main, ["table1", "--config",
+                                str(CONFIGS / "quartic_r1.cfg"), "--out",
+                                str(given), "--quiet"]).exit_code == EXIT_OK
+    for name in ("table1.csv", "resolved.cfg"):
+        assert (builtin / name).read_bytes() == (given / name).read_bytes()
+
+
+# exit codes of check-cis and kernels that the shipped configs' comments promise
+SHIPPED_EXITS = {
+    "cubic_split_cells": (EXIT_NOT_CIS, EXIT_NOT_CIS),
+    "quartic_split_cells": (EXIT_OK, EXIT_CONFIG),
+    "quartic_r1": (EXIT_OK, EXIT_OK),
+    "quartic_r1_chebyshev": (EXIT_OK, EXIT_OK),
+    "quartic_hermite": (EXIT_OK, EXIT_OK),
+    "db3_r1": (EXIT_OK, EXIT_OK),
+}
+
+
+def test_shipped_configs_are_all_covered():
+    assert {p.stem for p in CONFIGS.glob("*.cfg")} == set(SHIPPED_EXITS)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_EXITS))
+def test_shipped_configs_exit_as_documented(runner, tmp_path, name):
+    for sub, want in zip(("check-cis", "kernels"), SHIPPED_EXITS[name]):
+        res = runner.invoke(main, [sub, "--config", str(CONFIGS / f"{name}.cfg"),
+                                   "--out", str(tmp_path / sub), "--quiet"])
+        assert res.exit_code == want, res.output
+
+
+SHARED_HELP = [
+    ("--config PATH", "flat dotted-key config file  [required]"),
+    ("--out DIRECTORY", "output directory  [default: out]"),
+    ("--grid INTEGER", "grid resolution for circle/curve sampling  [default: 256]"),
+    ("--quiet", "suppress progress output"),
+]
+TABLE1_HELP = [
+    ("--config PATH", "optional config overriding the built-in quartic setup"),
+    ("--out DIRECTORY", "[default: out]"),
+    ("--grid INTEGER", "[default: 256]"),
+    ("--quiet", ""),
+]
+
+
+@pytest.mark.parametrize("sub", ["check-cis", "kernels", "moments", "predict",
+                                 "convergence", "table1"])
+def test_help_lists_the_shared_options(runner, sub):
+    res = runner.invoke(main, [sub, "--help"], terminal_width=200,
+                        max_content_width=200)
+    assert res.exit_code == EXIT_OK
+    body = res.output.split("Options:\n", 1)[1]
+    options = [tuple((re.split(r"\s{2,}", line.strip(), maxsplit=1) + [""])[:2])
+               for line in body.splitlines()]
+    assert options[:4] == (TABLE1_HELP if sub == "table1" else SHARED_HELP)

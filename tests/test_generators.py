@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnspredict.generators import (BSplineGenerator, DaubechiesGenerator, Generator,
-                                   TabulatedGenerator, _daubechies_table,
-                                   _expand, _refinement_residual,
-                                   daubechies_taps, generator_from_descriptor,
-                                   stability_bounds)
+                                   TabulatedGenerator, _bspline_pieces,
+                                   _daubechies_table, _expand,
+                                   _refinement_residual, daubechies_taps,
+                                   generator_from_descriptor, stability_bounds)
 from pnspredict.moments import reproduction_order
 
 # published extremal-phase db3 filter
@@ -105,6 +105,19 @@ def test_generator_without_piece_raises():
 
     with pytest.raises(NotImplementedError):
         Bare().eval(np.linspace(-1.0, 3.0, 9))
+
+
+def test_bspline_piece_tables_are_shared_and_read_only():
+    tables = _bspline_pieces(4)
+    assert _bspline_pieces(4) is tables
+    assert len(tables) == 4 and tables[0].shape == (4, 4)
+    with pytest.raises(ValueError):
+        tables[0][0, 0] = 1.0
+    # stability_bounds reads Q_2m for a(k); a second call builds no table
+    stability_bounds(BSplineGenerator(3))
+    misses = _bspline_pieces.cache_info().misses
+    stability_bounds(BSplineGenerator(3))
+    assert _bspline_pieces.cache_info().misses == misses
 
 
 def test_bspline_generator_metadata(q4):

@@ -227,6 +227,48 @@ def test_reconstruct_reads_exactly_the_window_samples(kernels_quartic_r1, q4,
         reconstruct(kernels_quartic_r1, samples, 1.5)
 
 
+@pytest.fixture(scope="module")
+def kernels_box():
+    return build_kernel_set(pp.BSplineGenerator(1), pp.SamplingScheme((0.5,), 1))
+
+
+def test_reconstruct_box_spline_at_knots(kernels_box):
+    # Q1 with offset 1/2: f = sum_k c_k Q1(. - k) is c_k on [k, k + 1), and
+    # the samples f(l + 1/2) = l + 2 give f = floor(t) + 2.  The kernel
+    # window is [0, 1] and Theta(0) = Q1(0) = 1, so a point on a knot reads
+    # the period whose window starts there.
+    ks = kernels_box
+    assert ks.support == (0.0, 1.0)
+    samples = {(0, 0, l): float(l + 2) for l in range(-5, 6)}
+    for t in (0.0, 1.0, 2.0, 0.5):
+        assert reconstruct(ks, samples, t) == np.floor(t) + 2.0
+    assert reconstruct(ks, samples, np.array([0.0, 0.5, 1.0])).tolist() == \
+        [2.0, 2.0, 3.0]
+    assert pp.approx_operator(ks, samples, 1.0, np.array([0.0, 1.0, 2.0])
+                              ).tolist() == [2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("kset", ["kernels_box", "kernels_quartic_r1",
+                                  "kernels_hermite", "pred_quartic_r1",
+                                  "kernels_db3"])
+def test_reconstruct_is_the_operator_at_W_1(request, kset):
+    ks = request.getfixturevalue(kset)
+    scheme = ks.scheme
+    f = random_spline(ks.gen, np.random.default_rng(8).uniform(-1, 1, 12))
+    samples = {(n, i, l): float(f(i)(x + scheme.rho * l))
+               for l in range(-20, 20) for n, x in enumerate(scheme.offsets)
+               for i in range(scheme.r)}
+    lo, hi = ks.support
+    windows = scheme.rho * np.arange(-1, 3)
+    ts = np.concatenate([np.random.default_rng(9).uniform(-4.0, 12.0, 60),
+                         np.arange(-4.0, 13.0), lo + windows, hi + windows])
+    batch = reconstruct(ks, samples, ts)
+    assert np.array_equal(batch, pp.approx_operator(ks, samples, 1.0, ts))
+    for t, value in zip(ts.tolist(), batch.tolist()):
+        assert reconstruct(ks, samples, t) == value
+        assert pp.approx_operator(ks, samples, 1.0, t) == value
+
+
 def test_reconstruct_missing_sample_raises(kernels_quartic_r1):
     with pytest.raises(KeyError):
         reconstruct(kernels_quartic_r1, {}, np.array([0.5]))
