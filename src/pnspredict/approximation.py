@@ -4,19 +4,19 @@
              K_ni(W t - rho l)
 
 covers both the two-sided operator (K = Theta) and the causal predictor
-(K = Theta~); the kernel object supplies its own support and term table.
+(K = Theta~); the kernel object supplies its support, rows and nodes.
 Reconstruction (kernels.reconstruct) is its W = 1 case, and the causal
 predictor (prediction.predict) reads it at one point.  All of them go
 through `kernels._series_eval`, which sums over the periods l whose
 closed kernel window [lo, hi] + rho l holds W t (`kernels._periods`).
 
-Every K_ni is a finite table of shifted copies of phi, so S_W f is itself
-one expansion sum_j b_j phi(W t - s_j).  It is evaluated that way: the
-samples of all periods come from one vectorised signal.eval per channel
-(n, i), the shifts are grouped into classes by their fractional part (one
-class for db3_r1, four for the quartic predictors with nodes 4 + p/4),
-and each point reads ceil(mu) unit pieces of phi per class
-(`generators._expand`).  A point's value depends on its own t only.
+Every Theta_ni is a row of rho coefficients against consecutive integer
+shifts of phi, so S_W f is a channel sum followed by one pass per class of
+nodes that share a fractional part (one class for db3_r1, four for the
+quartic predictors with nodes 4 + p/4): the samples come from one
+vectorised signal.eval per channel (n, i), and each point reads ceil(mu)
+unit pieces of phi per class (`generators._expand`).  A point's value
+depends on its own t only.
 """
 
 from __future__ import annotations

@@ -288,13 +288,12 @@ def _resolve_signal(raw: _Raw, scheme: SamplingScheme):
                             ("signal.file", path)) if v is not None]
     if len(given) > 1:
         raw._fail(given[1], "give only one of signal.name / signal.expr / signal.file")
-    if name is not None:
+    if name is not None or expr is not None:
         try:
-            signal = builtin_signal(name)
-        except ValueError as exc:
-            raw._fail("signal.name", str(exc))
-    elif expr is not None:
-        signal = _signal_from_expr(expr)
+            signal = (builtin_signal(name) if name is not None
+                      else _signal_from_expr(expr))
+        except (ConfigError, ValueError) as exc:
+            raw._fail(given[0], str(exc))
     elif path is not None:
         signal = _signal_from_file(path)
     else:
@@ -537,8 +536,15 @@ def cmd_moments(cfg, out, grid_n, quiet):
                           "rebuilding it"))
 def cmd_predict(cfg, out, grid_n, quiet, kernels_path):
     """Run the causal predictor over the configured W values."""
-    ks = (_build_kernel_set(cfg) if kernels_path is None
-          else load_kernels(kernels_path))
+    if kernels_path is None:
+        ks = _build_kernel_set(cfg)
+    else:
+        try:
+            ks = load_kernels(kernels_path)
+        except KeyError as exc:
+            raise ConfigError(f"{kernels_path}: missing entry {exc}")
+        except ValueError as exc:
+            raise ConfigError(f"{kernels_path}: {exc}")
     ps = _require_prediction(cfg, ks)
     save_kernels(ps, out / "prediction.json")
     lo, hi = ps.support
@@ -598,11 +604,17 @@ error.p = 2
 
 def _equally_spaced_family(cfg: RunConfig) -> RunConfig:
     """cfg on the equally spaced offsets of its (L, r, s): the first of
-    table1's two offset families, and the one resolved.cfg records."""
+    table1's two offset families, and the one resolved.cfg records.  Other
+    offsets would be replaced without a word, so they are refused."""
     L, r, s = cfg.scheme.L, cfg.scheme.r, cfg.scheme.s
     if s is None:
         raise ConfigError(f"{cfg.source}: offsets must lie in one cell")
-    return replace(cfg, scheme=SamplingScheme.equally_spaced(L, r, s))
+    family = SamplingScheme.equally_spaced(L, r, s)
+    if cfg.scheme not in (family, SamplingScheme.chebyshev(L, r, s)):
+        raise ConfigError(f"{cfg.source}: table1 runs the equally spaced and "
+                          "chebyshev offsets of the scheme's (L, r, s); give "
+                          "scheme.offset_mode instead of scheme.offsets")
+    return replace(cfg, scheme=family)
 
 
 @_subcommand("table1", builtin=_TABLE1_BUILTIN, setup=_equally_spaced_family)

@@ -11,8 +11,9 @@ phi^(s)(q + u) for an integer q and u in [0, 1].  B-splines and Daubechies
 functions define only `piece`, and `Generator.eval` reads every point
 through it; tabulated generators interpolate in `eval`, whose step is
 arbitrary, and read their pieces through it.  `_expand` builds on the
-pieces to evaluate a whole expansion sum_j c_j phi(x - s_j) in one pass.
-Everything is float64.
+pieces to evaluate a coefficient sequence against weighted nodes,
+sum_m c_m sum_p w_p phi(x - eps_p - start - m), in one pass per class of
+nodes that share a fractional part.  Everything is float64.
 """
 
 from __future__ import annotations
@@ -338,38 +339,36 @@ def generator_from_descriptor(desc: dict) -> Generator:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def _expand(gen: Generator, shifts, coefs, x) -> np.ndarray:
-    """sum_j coefs[j] phi(x - shifts[j]), read through phi's unit pieces.
+def _expand(gen: Generator, coefs, start, nodes, weights, x) -> np.ndarray:
+    """sum_m coefs[m] sum_p weights[p] phi(x - nodes[p] - start - m) for an
+    integer start, read through phi's unit pieces.
 
-    The shifts fall into classes by their fractional part delta; within a
-    class they are integers k after removing delta, and their coefficients
-    are scattered into one dense vector b.  With y = x - delta, m = floor(y)
-    and u = y - m, a point meets only the ceil(mu) pieces
-    b[m - q] phi(q + u), q = 0 .. ceil(mu) - 1.  Shifts whose fractional
-    parts differ by rounding noise share a class.
+    The nodes fall into classes by their fractional part delta, which
+    nodes - floor(nodes) gives exactly.  Within a class the weights are
+    added, at the nodes' integer parts, into one zero-padded copy b of
+    coefs.  With y = x - delta, m = floor(y) and u = y - m, a point meets
+    only the ceil(mu) pieces b[m - q] phi(q + u), q = 0 .. ceil(mu) - 1.
 
     Every point is computed from its own x with elementwise operations in a
     fixed order, so its value does not depend on the other points.
     """
     x = np.asarray(x, dtype=float)
-    shifts = np.asarray(shifts, dtype=float).ravel()
     coefs = np.asarray(coefs, dtype=float).ravel()
-    out = np.zeros(x.shape)
-    if shifts.size == 0:
-        return out
-    k = np.floor(shifts)
-    frac = shifts - k
-    tol = 64.0 * np.spacing(max(1.0, float(np.abs(shifts).max())))
-    order = np.argsort(frac, kind="stable")
-    breaks = np.flatnonzero(np.diff(frac[order]) > tol) + 1
+    nodes = np.asarray(nodes, dtype=float).ravel()
+    weights = np.asarray(weights, dtype=float).ravel()
+    whole = np.floor(nodes)
+    frac = nodes - whole
     n_pieces = ceil(gen.mu)
-    for cls in np.split(order, breaks):
-        delta = frac[cls[0]]
-        kc = k[cls].astype(np.int64)
-        k0 = int(kc.min()) - 1
+    out = np.zeros(x.shape)
+    for delta in np.unique(frac):
+        cls = frac == delta
+        ints = whole[cls].astype(np.int64)
+        lo = int(ints.min()) - 1
+        k0 = start + lo                 # b[j] multiplies phi(y - k0 - j)
         # b[0] and b[-1] stay zero; indices off the vector clip onto them
-        b = np.zeros(int(kc.max()) - k0 + 2)
-        np.add.at(b, kc - k0, coefs[cls])
+        b = np.zeros(len(coefs) + int(ints.max()) - lo + 1)
+        for e, w in zip(ints.tolist(), weights[cls]):
+            b[e - lo:e - lo + len(coefs)] += w * coefs
         y = x - delta
         m = np.floor(y)
         u = y - m

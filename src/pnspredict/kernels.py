@@ -17,7 +17,8 @@ into the past (see prediction.modify_kernels):
     Theta~_ni(t) = sum_p a_p Theta_ni(t - eps_p),
 
 again a finite table of shifted copies of phi.  The two-sided kernels are
-the case eps = (0,), a = (1,).
+the case eps = (0,), a = (1,).  A set keeps only its coefficient rows and
+its nodes; the term tables are derived from them.
 """
 
 from __future__ import annotations
@@ -148,33 +149,26 @@ class KernelSet:
         self.epsilons = eps
         self.weights = wts
         self.support = (float(-rho + s + 1) + eps[0], float(gen.mu + s) + eps[-1])
-        self._terms = {}
-        for n in range(scheme.L):
-            for i in range(scheme.r):
-                col = n * scheme.r + i
-                shifts, coefs = [], []
-                for q in range(0, s + 1):
-                    if A[q, col] != 0.0:
-                        shifts.append(float(q))
-                        coefs.append(A[q, col])
-                for q in range(s + 1, rho):
-                    if B[q, col] != 0.0:
-                        shifts.append(float(q - rho))
-                        coefs.append(B[q, col])
-                shifts, coefs = np.array(shifts), np.array(coefs)
-                self._terms[n, i] = (np.concatenate([shifts + e for e in eps]),
-                                     np.concatenate([a * coefs for a in wts]))
+        # _coef[n, i, k]: coefficient of phi(t - _k0 - k) in Theta_ni
+        self._k0 = s + 1 - rho
+        self._coef = np.concatenate([B[s + 1:], A[:s + 1]]).T.reshape(
+            scheme.L, scheme.r, rho)
 
     def term_table(self, n: int, i: int):
-        """Pairs (shifts, coefs) with K_ni(t) = sum coefs * phi(t - shifts)."""
-        shifts, coefs = self._terms[n, i]
-        return shifts.copy(), coefs.copy()
+        """Pairs (shifts, coefs) with K_ni(t) = sum coefs * phi(t - shifts):
+        the nonzero terms of shifts 0..s, then s+1-rho..-1, node by node."""
+        row = self._coef[n, i]
+        k = np.roll(np.arange(self.scheme.rho), self._k0)
+        k = k[row[k] != 0.0]
+        return (np.concatenate([self._k0 + k + e for e in self.epsilons]),
+                np.concatenate([a * row[k] for a in self.weights]))
 
     def kernel(self, n: int, i: int, t):
-        """K_ni(t) from its term table."""
+        """K_ni(t) from its coefficient row."""
         if not 0 <= n < self.scheme.L or not 0 <= i < self.scheme.r:
             raise IndexError(f"kernel index ({n}, {i}) out of range")
-        out = _expand(self.gen, *self._terms[n, i], t)
+        out = _expand(self.gen, self._coef[n, i], self._k0, self.epsilons,
+                      self.weights, t)
         return float(out) if out.ndim == 0 else out
 
     def __repr__(self):
@@ -228,36 +222,27 @@ def _samples(ks, source, W: float, periods: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series(ks, periods: np.ndarray, samples: np.ndarray, x) -> np.ndarray:
-    """sum_l sum_{n,i} samples[n, i, l] Theta_ni(x - rho l) over `periods`.
-
-    Every kernel is a table of shifted copies of phi, so the whole series
-    is one expansion sum_j b_j phi(x - s_j) with s_j = rho l + (kernel
-    shift); rho l is an integer and adds no fractional class.
-    """
-    rho = ks.scheme.rho
-    shifts, coefs = [], []
-    for n in range(ks.scheme.L):
-        for i in range(ks.scheme.r):
-            s, c = ks._terms[n, i]
-            shifts.append(np.add.outer(rho * periods, s).ravel())
-            coefs.append(np.multiply.outer(samples[n, i], c).ravel())
-    return _expand(ks.gen, np.concatenate(shifts), np.concatenate(coefs), x)
-
-
 def _series_eval(ks, source, W: float, t):
     """The sampling series sum_l sum_{n,i} W^-i f^(i)((x_n + rho l)/W)
     K_ni(W t - rho l) at t: a float for a scalar t, else an array.
 
     source is any sample source `_samples` reads; the samples are taken
     over the periods whose closed window holds some W t (`_periods`).  The
-    points may come in any order, and each is evaluated as a 1-element
-    batch would be.
+    channels are summed into b[rho l + k] one by one, elementwise, so a
+    period's coefficients do not depend on the other periods, and b is
+    expanded against the nodes (`_expand`).  The points may come in any
+    order, and each is evaluated as a 1-element batch would be.
     """
     arr = np.asarray(t, dtype=float)
     wt = W * np.atleast_1d(arr)
     periods = _periods(ks, wt)
-    out = _series(ks, periods, _samples(ks, source, W, periods), wt)
+    rho = ks.scheme.rho
+    b = np.zeros((len(periods), rho))
+    for f, c in zip(_samples(ks, source, W, periods).reshape(rho, -1),
+                    ks._coef.reshape(rho, rho)):
+        b += np.multiply.outer(f, c)
+    start = ks._k0 + rho * int(periods[0]) if periods.size else 0
+    out = _expand(ks.gen, b.ravel(), start, ks.epsilons, ks.weights, wt)
     return float(out[0]) if arr.ndim == 0 else out
 
 

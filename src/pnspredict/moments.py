@@ -78,7 +78,7 @@ def moment_defects(ks, degree: int, t_grid) -> tuple:
     for n, x in enumerate(scheme.offsets):
         diff = work(x) - tau
         for i in range(min(degree, scheme.r - 1) + 1):
-            shifts, coefs = ks._terms[n, i]
+            shifts, coefs = ks.term_table(n, i)
             phi = ks.gen.eval(tau.ravel() - shifts[:, None])
             term = (coefs.astype(work) @ phi).reshape(tau.shape)
             for j in range(i, degree + 1):

@@ -93,3 +93,10 @@ def pred_hermite(kernels_hermite):
 @pytest.fixture(scope="session")
 def pred_db3(kernels_db3):
     return pp.modify_kernels(kernels_db3, (5.0, 10.0, 15.0, 20.0, 25.0))
+
+
+@pytest.fixture(scope="session")
+def pred_quartic_r1_nondyadic(kernels_quartic_r1):
+    # nodes 4.1 + 0.3 p: no two share a fractional part, none is dyadic
+    return pp.modify_kernels(kernels_quartic_r1,
+                             tuple(4.1 + 0.3 * p for p in range(4)))

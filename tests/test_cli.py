@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -401,3 +402,102 @@ def test_help_lists_the_shared_options(runner, sub):
     options = [tuple((re.split(r"\s{2,}", line.strip(), maxsplit=1) + [""])[:2])
                for line in body.splitlines()]
     assert options[:4] == (TABLE1_HELP if sub == "table1" else SHARED_HELP)
+
+
+def test_predict_maps_a_bad_kernel_file_to_exit_2(runner, quartic_cfg, tmp_path):
+    out = tmp_path / "p"
+    assert runner.invoke(main, ["predict", "--config", str(quartic_cfg),
+                                "--out", str(out)]).exit_code == EXIT_OK
+    doc = json.loads((out / "prediction.json").read_text())
+    cases = [("epsilons", [1, 2, 3, 4],
+              "eps0 = 1.0 < rho = 4: shifted kernels would not be causal"),
+             ("A", None, "missing entry 'A'")]
+    for key, value, message in cases:
+        bad = dict(doc)
+        if value is None:
+            del bad[key]
+        else:
+            bad[key] = value
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps(bad))
+        res = runner.invoke(main, ["predict", "--config", str(quartic_cfg),
+                                   "--kernels", str(path),
+                                   "--out", str(tmp_path / "q")])
+        assert res.exit_code == EXIT_CONFIG
+        assert f"config error: {path}: {message}" in res.output
+
+
+@pytest.mark.parametrize("name, code", [("quartic_hermite", EXIT_CONFIG),
+                                        ("quartic_r1_chebyshev", EXIT_OK)])
+def test_table1_refuses_offsets_it_would_replace(runner, tmp_path, name, code):
+    cfg = CONFIGS / f"{name}.cfg"
+    res = runner.invoke(main, ["table1", "--config", str(cfg), "--out",
+                               str(tmp_path / "t"), "--quiet"])
+    assert res.exit_code == code, res.output
+    if code == EXIT_CONFIG:
+        assert f"config error: {cfg}: " in res.output
+        assert "give scheme.offset_mode" in res.output
+        assert not (tmp_path / "t").exists()
+
+
+_MODE = "generator.order = 4\nscheme.offset_mode = equally_spaced\nscheme.L = 4\n"
+_OFFSETS = "generator.order = 4\nscheme.offsets = 0, 0.25, 0.5, 0.75\n"
+
+
+# One case per ConfigError branch: (subcommand, config text, line of the
+# offending key or None where the message names no line, message).
+CONFIG_ERRORS = {
+    "offsets_and_mode": ("check-cis", _OFFSETS + "scheme.offset_mode = chebyshev\n",
+                         3, "give either scheme.offsets or scheme.offset_mode"),
+    "unknown_mode": ("check-cis", "generator.order = 4\nscheme.L = 4\n"
+                     "scheme.offset_mode = spread\n", 3,
+                     "unknown offset mode 'spread'"),
+    "mode_without_L": ("check-cis", "generator.order = 4\n"
+                       "scheme.offset_mode = chebyshev\n", 2,
+                       "scheme.L is required with offset_mode"),
+    "L_disagrees": ("check-cis", _OFFSETS + "scheme.L = 3\n", 3,
+                    "scheme.L = 3 but 4 offsets given"),
+    "s_disagrees": ("check-cis", _OFFSETS + "scheme.s = 1\n", 3,
+                    "scheme.s = 1 but offsets lie in cell [0, 1)"),
+    "epsilons_and_eps0": ("predict", _MODE + "prediction.epsilons = 4, 5, 6, 7\n"
+                          "prediction.eps0 = 4\n", 5,
+                          "give either prediction.epsilons or prediction.eps0"),
+    "weights_without_nodes": ("predict", _MODE + "prediction.weights = 1, 2\n", 4,
+                              "weights given without epsilon nodes"),
+    "eps0_without_spacing": ("predict", _MODE + "prediction.eps0 = 4\n", 4,
+                             "prediction.spacing is required with prediction.eps0"),
+    "float_not_a_number": ("convergence", _MODE + "error.p = two\n", 4,
+                           "error.p must be a number, got 'two'"),
+    "malformed_number_list": ("convergence", _MODE + "W.list = 5, ten, 20\n", 4,
+                              "W.list must be a comma-separated number list"),
+    "W_zero": ("convergence", _MODE + "W.list = 5, 0, 20\n", 4,
+               "all W values must be positive"),
+    "p_below_one": ("convergence", _MODE + "error.p = 0.5\n", 4,
+                    "error.p must be >= 1"),
+    "unknown_signal": ("check-cis", _MODE + "signal.name = nosuch\n", 4,
+                       "unknown built-in signal 'nosuch'"),
+    "two_signal_keys": ("check-cis", _MODE + "signal.name = f\nsignal.expr = t\n",
+                        5, "give only one of signal.name / signal.expr"),
+    "unparsable_expr": ("check-cis", _MODE + "signal.expr = t +\n", 4,
+                        "signal.expr is not an expression"),
+    "unknown_kind": ("kernels", "generator.kind = wavelet\n" + _MODE, 1,
+                     "unknown generator kind 'wavelet'"),
+    "order_zero": ("kernels", _MODE.replace("order = 4", "order = 0"), 1,
+                   "B-spline order must be an integer >= 1, got 0"),
+    "db3_r2": ("check-cis", "generator.kind = daubechies\ngenerator.order = 3\n"
+               "scheme.offset_mode = equally_spaced\nscheme.L = 2\nscheme.r = 2\n",
+               None, "scheme needs derivatives up to order 1 but the generator "
+               "only provides 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_errors_name_the_offending_line(runner, tmp_path, case):
+    sub, text, line, message = CONFIG_ERRORS[case]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    res = runner.invoke(main, [sub, "--config", str(cfg),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_CONFIG
+    where = f"{cfg}" if line is None else f"{cfg}:{line}"
+    assert f"config error: {where}: {message}" in res.output

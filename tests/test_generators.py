@@ -330,7 +330,7 @@ def test_expand_matches_direct_sum(name, terms, between):
     # the absolute term keeps the bound above zero when every coefficient
     # is subnormal and the relative term underflows
     bound = 1e-12 * np.abs(coefs).sum() * _peak(name) + 4 * np.finfo(float).tiny
-    assert np.abs(_expand(gen, shifts, coefs, x) - direct).max() <= bound
+    assert np.abs(_expand(gen, [1.0], 0, shifts, coefs, x) - direct).max() <= bound
 
 
 # Reference for the Daubechies table: the cascade as first written, with a

@@ -250,7 +250,7 @@ def test_reconstruct_box_spline_at_knots(kernels_box):
 
 @pytest.mark.parametrize("kset", ["kernels_box", "kernels_quartic_r1",
                                   "kernels_hermite", "pred_quartic_r1",
-                                  "kernels_db3"])
+                                  "kernels_db3", "pred_quartic_r1_nondyadic"])
 def test_reconstruct_is_the_operator_at_W_1(request, kset):
     ks = request.getfixturevalue(kset)
     scheme = ks.scheme
@@ -267,6 +267,27 @@ def test_reconstruct_is_the_operator_at_W_1(request, kset):
     for t, value in zip(ts.tolist(), batch.tolist()):
         assert reconstruct(ks, samples, t) == value
         assert pp.approx_operator(ks, samples, 1.0, t) == value
+
+
+@pytest.mark.parametrize("kset", ["kernels_box", "kernels_quartic_r1",
+                                  "kernels_hermite", "kernels_db3",
+                                  "pred_quartic_r1", "pred_hermite", "pred_db3",
+                                  "pred_quartic_r1_nondyadic"])
+def test_kernel_is_the_sum_over_its_term_table(request, kset):
+    ks = request.getfixturevalue(kset)
+    gen = ks.gen
+    lo, hi = ks.support
+    peak = np.abs(gen.eval(np.linspace(0.0, gen.mu, 4001))).max()
+    for n in range(ks.scheme.L):
+        for i in range(ks.scheme.r):
+            shifts, coefs = ks.term_table(n, i)
+            # the knots of every term, and points between them
+            knots = np.add.outer(shifts, np.arange(-1.0, np.ceil(gen.mu) + 2))
+            ts = np.concatenate([knots.ravel(), np.linspace(lo - 1, hi + 1, 1001),
+                                 np.random.default_rng(n).uniform(lo, hi, 400)])
+            direct = sum(c * gen.eval(ts - s) for s, c in zip(shifts, coefs))
+            bound = 1e-12 * np.abs(coefs).sum() * peak
+            assert np.abs(ks.kernel(n, i, ts) - direct).max() <= bound
 
 
 def test_reconstruct_missing_sample_raises(kernels_quartic_r1):

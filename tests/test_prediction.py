@@ -130,7 +130,8 @@ def test_predict_dict_samples_and_missing_key(pred_quartic_r1,
         predict(pred_quartic_r1, samples, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("pred", ["pred_quartic_r1", "pred_hermite", "pred_db3"])
+@pytest.mark.parametrize("pred", ["pred_quartic_r1", "pred_hermite", "pred_db3",
+                                  "pred_quartic_r1_nondyadic"])
 def test_predict_equals_the_operator_for_every_sample_source(request, pred):
     ps = request.getfixturevalue(pred)
     scheme = ps.scheme
