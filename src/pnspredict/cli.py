@@ -60,59 +60,39 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return entries
 
 
-class _Raw:
-    """Typed access to parsed entries with line-numbered complaints."""
+def _number_list(raw: str) -> tuple:
+    return tuple(float(v) for v in raw.split(",") if v.strip())
 
-    def __init__(self, entries: dict, source: str):
-        self.entries = entries
-        self.source = source
-        self.used = set()
 
-    def has(self, key):
-        return key in self.entries
+# the type of each non-text reader, as a refused value's message names it
+_MUST_BE = {int: "an integer", float: "a number",
+            _number_list: "a comma-separated number list"}
 
-    def _fail(self, key, msg):
-        lineno = self.entries[key][1] if key in self.entries else "?"
-        raise ConfigError(f"{self.source}:{lineno}: {msg}")
+# Every config key with its reader and its default (None: not given).
+_KEYS = {
+    "generator.kind": (str, "bspline"),
+    "generator.order": (int, None),
+    "generator.level": (int, None),
+    "scheme.offsets": (_number_list, None),
+    "scheme.offset_mode": (str, None),
+    "scheme.r": (int, 1),
+    "scheme.L": (int, None),
+    "scheme.rho": (int, None),
+    "scheme.s": (int, None),
+    "prediction.epsilons": (_number_list, None),
+    "prediction.eps0": (float, None),
+    "prediction.spacing": (float, None),
+    "prediction.weights": (_number_list, None),
+    "signal.name": (str, None),
+    "signal.expr": (str, None),
+    "signal.file": (str, None),
+    "W.list": (_number_list, DEFAULT_W),
+    "error.p": (float, 2.0),
+}
 
-    def get(self, key, default=None):
-        if key not in self.entries:
-            return default
-        self.used.add(key)
-        return self.entries[key][0]
-
-    def get_int(self, key, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            self._fail(key, f"{key} must be an integer, got {raw!r}")
-
-    def get_float(self, key, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            self._fail(key, f"{key} must be a number, got {raw!r}")
-
-    def get_floats(self, key, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        except ValueError:
-            self._fail(key, f"{key} must be a comma-separated number list")
-
-    def line_of(self, key):
-        return self.entries[key][1] if key in self.entries else "?"
-
-    def unknown_keys(self):
-        return sorted(set(self.entries) - self.used)
+# The offset families of scheme.offset_mode; table1 runs both.
+_OFFSET_FAMILIES = {"equally_spaced": SamplingScheme.equally_spaced,
+                    "chebyshev": SamplingScheme.chebyshev}
 
 
 @dataclass
@@ -127,97 +107,95 @@ class RunConfig:
     source: str
 
 
-def _resolve_generator(raw: _Raw):
-    kind = raw.get("generator.kind", "bspline")
-    order = raw.get_int("generator.order")
+def _resolve_generator(v: dict, fail):
+    kind, order, level = (v["generator.kind"], v["generator.order"],
+                          v["generator.level"])
     if order is None:
-        raise ConfigError(f"{raw.source}: generator.order is required")
+        fail("generator.order", "generator.order is required")
     try:
         if kind == "bspline":
+            if level is not None:
+                fail("generator.level", "generator.level applies only to daubechies")
             return BSplineGenerator(order)
         if kind == "daubechies":
-            level = raw.get_int("generator.level")
-            if level is None:
-                return DaubechiesGenerator(order)
-            return DaubechiesGenerator(order, level)
+            return (DaubechiesGenerator(order) if level is None
+                    else DaubechiesGenerator(order, level))
     except ValueError as exc:
-        raw._fail("generator.order", str(exc))
-    raw._fail("generator.kind", f"unknown generator kind {kind!r}")
+        fail("generator.order", str(exc))
+    fail("generator.kind", f"unknown generator kind {kind!r}")
 
 
-def _resolve_scheme(raw: _Raw):
-    r = raw.get_int("scheme.r", 1)
-    offsets = raw.get_floats("scheme.offsets")
-    mode = raw.get("scheme.offset_mode")
+def _resolve_scheme(v: dict, fail, gen):
+    r, offsets, mode = v["scheme.r"], v["scheme.offsets"], v["scheme.offset_mode"]
+    L, rho, s = v["scheme.L"], v["scheme.rho"], v["scheme.s"]
     if offsets is not None and mode is not None:
-        raw._fail("scheme.offset_mode",
-                  "give either scheme.offsets or scheme.offset_mode, not both")
+        fail("scheme.offset_mode",
+             "give either scheme.offsets or scheme.offset_mode, not both")
     try:
         if offsets is not None:
             scheme = SamplingScheme(offsets, r)
         elif mode is not None:
-            L = raw.get_int("scheme.L")
             if L is None:
-                raw._fail("scheme.offset_mode", "scheme.L is required with offset_mode")
-            s = raw.get_int("scheme.s", 0)
-            if mode == "equally_spaced":
-                scheme = SamplingScheme.equally_spaced(L, r, s)
-            elif mode == "chebyshev":
-                scheme = SamplingScheme.chebyshev(L, r, s)
-            else:
-                raw._fail("scheme.offset_mode", f"unknown offset mode {mode!r}")
+                fail("scheme.offset_mode", "scheme.L is required with offset_mode")
+            if mode not in _OFFSET_FAMILIES:
+                fail("scheme.offset_mode", f"unknown offset mode {mode!r}")
+            scheme = _OFFSET_FAMILIES[mode](L, r, 0 if s is None else s)
         else:
-            raise ConfigError(f"{raw.source}: scheme.offsets or scheme.offset_mode "
-                              "is required")
+            fail("scheme.offsets", "scheme.offsets or scheme.offset_mode is required")
     except ValueError as exc:
-        raw._fail("scheme.offsets" if offsets is not None else "scheme.offset_mode",
-                  str(exc))
-    rho_given = raw.get_int("scheme.rho")
-    if rho_given is not None and rho_given != scheme.rho:
-        raw._fail("scheme.rho", f"scheme.rho = {rho_given} but L*r = {scheme.rho}")
-    L_given = raw.get_int("scheme.L")
-    if L_given is not None and L_given != scheme.L:
-        raw._fail("scheme.L", f"scheme.L = {L_given} but {scheme.L} offsets given")
-    s_given = raw.get_int("scheme.s")
-    if s_given is not None and scheme.s is not None and s_given != scheme.s:
-        raw._fail("scheme.s", f"scheme.s = {s_given} but offsets lie in cell "
-                  f"[{scheme.s}, {scheme.s + 1})")
+        fail("scheme.offsets" if offsets is not None else "scheme.offset_mode",
+             str(exc))
+    if rho is not None and rho != scheme.rho:
+        fail("scheme.rho", f"scheme.rho = {rho} but L*r = {scheme.rho}")
+    if L is not None and L != scheme.L:
+        fail("scheme.L", f"scheme.L = {L} but {scheme.L} offsets given")
+    if s is not None and scheme.s is not None and s != scheme.s:
+        fail("scheme.s", f"scheme.s = {s} but offsets lie in cell "
+             f"[{scheme.s}, {scheme.s + 1})")
+    # the samples take derivatives of phi up to order r - 1
+    if gen.regularity < r - 1:
+        fail("scheme.r", f"scheme needs derivatives up to order {r - 1} but the "
+             f"generator only provides {gen.regularity}")
     return scheme
 
 
-def _resolve_prediction(raw: _Raw, scheme: SamplingScheme):
-    eps = raw.get_floats("prediction.epsilons")
-    eps0 = raw.get_float("prediction.eps0")
+def _resolve_prediction(v: dict, fail, scheme: SamplingScheme):
+    eps, eps0, d, weights = (v["prediction.epsilons"], v["prediction.eps0"],
+                             v["prediction.spacing"], v["prediction.weights"])
     if eps is not None and eps0 is not None:
-        raw._fail("prediction.eps0",
-                  "give either prediction.epsilons or prediction.eps0, not both")
-    weights = raw.get_floats("prediction.weights")
+        fail("prediction.eps0",
+             "give either prediction.epsilons or prediction.eps0, not both")
+    if d is not None and eps0 is None:
+        fail("prediction.spacing", "prediction.spacing applies only with "
+             "prediction.eps0")
     if eps is None and eps0 is None:
         if weights is not None:
-            raw._fail("prediction.weights", "weights given without epsilon nodes")
+            fail("prediction.weights", "weights given without epsilon nodes")
         return None, None
     try:
         if eps is None:
-            d = raw.get_float("prediction.spacing")
             if d is None:
-                raw._fail("prediction.eps0", "prediction.spacing is required "
-                          "with prediction.eps0")
+                fail("prediction.eps0", "prediction.spacing is required "
+                     "with prediction.eps0")
             if d <= 0:
-                raw._fail("prediction.eps0", "spacing must be positive")
+                fail("prediction.eps0", "spacing must be positive")
             if eps0 <= 0:
-                raw._fail("prediction.eps0", "eps0 must be positive")
+                fail("prediction.eps0", "eps0 must be positive")
             eps = tuple(eps0 + p * d for p in range(scheme.rho))
         if weights is None:
             weights = tuple(lagrange_weights(eps))
     except ValueError as exc:
-        raw._fail("prediction.epsilons" if raw.has("prediction.epsilons")
-                  else "prediction.eps0", str(exc))
+        fail("prediction.epsilons" if eps0 is None else "prediction.eps0",
+             str(exc))
     return tuple(eps), tuple(weights)
 
 
 def _signal_from_file(path: str) -> TestSignal:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    ts, vs = rows[:, 0], rows[:, 1]
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        ts, vs = rows[:, 0], rows[:, 1]
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigError(f"cannot read signal.file {path}: {exc}")
 
     def f(t):
         return np.interp(t, ts, vs, left=0.0, right=0.0)
@@ -280,28 +258,22 @@ def _signal_from_expr(expr: str) -> TestSignal:
     return TestSignal("expr", (f,), "smooth")
 
 
-def _resolve_signal(raw: _Raw, scheme: SamplingScheme):
-    name = raw.get("signal.name")
-    expr = raw.get("signal.expr")
-    path = raw.get("signal.file")
-    given = [k for k, v in (("signal.name", name), ("signal.expr", expr),
-                            ("signal.file", path)) if v is not None]
+_SIGNAL_READERS = {"signal.name": builtin_signal, "signal.expr": _signal_from_expr,
+                   "signal.file": _signal_from_file}
+
+
+def _resolve_signal(v: dict, fail, scheme: SamplingScheme):
+    given = [key for key in _SIGNAL_READERS if v[key] is not None]
     if len(given) > 1:
-        raw._fail(given[1], "give only one of signal.name / signal.expr / signal.file")
-    if name is not None or expr is not None:
-        try:
-            signal = (builtin_signal(name) if name is not None
-                      else _signal_from_expr(expr))
-        except (ConfigError, ValueError) as exc:
-            raw._fail(given[0], str(exc))
-    elif path is not None:
-        signal = _signal_from_file(path)
-    else:
-        signal = builtin_signal("f")
+        fail(given[1], "give only one of signal.name / signal.expr / signal.file")
+    key = given[0] if given else "scheme.r"     # the built-in f is the default
+    try:
+        signal = _SIGNAL_READERS[key](v[key]) if given else builtin_signal("f")
+    except (ConfigError, ValueError) as exc:
+        fail(key, str(exc))
     if scheme.r > len(signal.derivs):
-        key = given[0] if given else "scheme.r"
-        raw._fail(key, f"scheme needs {scheme.r} derivative channels but signal "
-                  f"{signal.name!r} provides {len(signal.derivs)}")
+        fail(key, f"scheme needs {scheme.r} derivative channels but signal "
+             f"{signal.name!r} provides {len(signal.derivs)}")
     return signal
 
 
@@ -315,24 +287,39 @@ def load_config(path: str) -> RunConfig:
 
 
 def _resolve_config(text: str, source: str) -> RunConfig:
-    """The run configuration of config text; `source` names it in errors."""
-    raw = _Raw(parse_config_text(text, source), source)
-    gen = _resolve_generator(raw)
-    scheme = _resolve_scheme(raw)
-    eps, weights = _resolve_prediction(raw, scheme)
-    signal = _resolve_signal(raw, scheme)
-    W_list = raw.get_floats("W.list", DEFAULT_W)
-    if any(w <= 0 for w in W_list):
-        raw._fail("W.list", "all W values must be positive")
-    p = raw.get_float("error.p", 2.0)
-    if p < 1:
-        raw._fail("error.p", "error.p must be >= 1")
-    stray = raw.unknown_keys()
-    if stray:
-        first = stray[0]
-        raise ConfigError(f"{source}:{raw.line_of(first)}: unknown key {first!r}")
+    """The run configuration of config text; `source` names it in errors.
+
+    Every key is checked against `_KEYS` and every value read once, each
+    complaint on its line; the cross-key rules follow, and `fail(key, msg)`
+    names the key's line (only the source when the key is absent).
+    """
+    entries = parse_config_text(text, source)
+    for key, (_, line) in entries.items():
+        if key not in _KEYS:
+            raise ConfigError(f"{source}:{line}: unknown key {key!r}")
+    v = {key: default for key, (_, default) in _KEYS.items()}
+    for key, (raw, line) in entries.items():
+        read = _KEYS[key][0]
+        try:
+            v[key] = read(raw)
+        except ValueError:
+            raise ConfigError(f"{source}:{line}: {key} must be {_MUST_BE[read]}, "
+                              f"got {raw!r}")
+
+    def fail(key, msg):
+        where = f"{source}:{entries[key][1]}" if key in entries else source
+        raise ConfigError(f"{where}: {msg}")
+
+    gen = _resolve_generator(v, fail)
+    scheme = _resolve_scheme(v, fail, gen)
+    eps, weights = _resolve_prediction(v, fail, scheme)
+    signal = _resolve_signal(v, fail, scheme)
+    if any(w <= 0 for w in v["W.list"]):
+        fail("W.list", "all W values must be positive")
+    if v["error.p"] < 1:
+        fail("error.p", "error.p must be >= 1")
     return RunConfig(gen=gen, scheme=scheme, epsilons=eps, weights=weights,
-                     signal=signal, W_list=tuple(W_list), p=float(p),
+                     signal=signal, W_list=v["W.list"], p=v["error.p"],
                      source=source)
 
 
@@ -358,9 +345,10 @@ def _write_resolved(cfg: RunConfig, out: Path):
         lines.append(f"generator.level = {desc['level']}")
     lines += [f"scheme.r = {cfg.scheme.r}",
               f"scheme.L = {cfg.scheme.L}",
-              f"scheme.rho = {cfg.scheme.rho}",
-              f"scheme.s = {cfg.scheme.s}",
-              "scheme.offsets = " + ", ".join(repr(x) for x in cfg.scheme.offsets)]
+              f"scheme.rho = {cfg.scheme.rho}"]
+    if cfg.scheme.s is not None:
+        lines.append(f"scheme.s = {cfg.scheme.s}")
+    lines.append("scheme.offsets = " + ", ".join(repr(x) for x in cfg.scheme.offsets))
     if cfg.epsilons is not None:
         lines.append("prediction.epsilons = "
                      + ", ".join(repr(e) for e in cfg.epsilons))
@@ -465,10 +453,7 @@ def _subcommand(name, *extra_options, builtin=None, setup=None):
 @_subcommand("check-cis")
 def cmd_check_cis(cfg, out, grid_n, quiet):
     """Test the complete-interpolation-set property of the configured scheme."""
-    try:
-        psi = build_polyphase(cfg.gen, cfg.scheme)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.source}: {exc}")
+    psi = build_polyphase(cfg.gen, cfg.scheme)
     lines = []
     if cfg.scheme.s is not None and cfg.scheme.rho >= cfg.gen.mu:
         det_c = cis_determinant(cfg.gen, cfg.scheme)
@@ -609,12 +594,12 @@ def _equally_spaced_family(cfg: RunConfig) -> RunConfig:
     L, r, s = cfg.scheme.L, cfg.scheme.r, cfg.scheme.s
     if s is None:
         raise ConfigError(f"{cfg.source}: offsets must lie in one cell")
-    family = SamplingScheme.equally_spaced(L, r, s)
-    if cfg.scheme not in (family, SamplingScheme.chebyshev(L, r, s)):
+    families = [family(L, r, s) for family in _OFFSET_FAMILIES.values()]
+    if cfg.scheme not in families:
         raise ConfigError(f"{cfg.source}: table1 runs the equally spaced and "
                           "chebyshev offsets of the scheme's (L, r, s); give "
                           "scheme.offset_mode instead of scheme.offsets")
-    return replace(cfg, scheme=family)
+    return replace(cfg, scheme=families[0])
 
 
 @_subcommand("table1", builtin=_TABLE1_BUILTIN, setup=_equally_spaced_family)
@@ -624,12 +609,12 @@ def cmd_table1(cfg, out, grid_n, quiet):
         fh.write("# the run covers the chebyshev offset family as well\n")
     L, r, s = cfg.scheme.L, cfg.scheme.r, cfg.scheme.s
     columns = []
-    for family in (SamplingScheme.equally_spaced, SamplingScheme.chebyshev):
+    for family in _OFFSET_FAMILIES.values():
         ps = _require_prediction(cfg, _build_kernel_set(cfg, family(L, r, s)))
         columns.append([lp_error(ps, cfg.signal, W, cfg.p) for W in cfg.W_list])
     rows = [[float(W), float(eq), float(ch)]
             for W, eq, ch in zip(cfg.W_list, *columns)]
-    write_csv(out / "table1.csv", ["W", "equally_spaced", "chebyshev"], rows)
+    write_csv(out / "table1.csv", ["W", *_OFFSET_FAMILIES], rows)
     _echo(quiet, f"{'W':>6}  {'equally spaced':>15}  {'chebyshev':>15}")
     for W, eq, ch in rows:
         _echo(quiet, f"{W:6g}  {eq:15.6g}  {ch:15.6g}")

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pnspredict.cli import (DEFAULT_W, EXIT_CONFIG, EXIT_NOT_CIS, EXIT_OK,
-                            ConfigError, load_config, main, parse_config_text,
-                            write_csv)
+from pnspredict.cli import (_KEYS, DEFAULT_W, EXIT_CONFIG, EXIT_NOT_CIS,
+                            EXIT_OK, ConfigError, load_config, main,
+                            parse_config_text, write_csv)
 from pnspredict.prediction import lagrange_weights
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 QUARTIC_CFG = """\
 generator.kind = bspline
@@ -296,22 +297,23 @@ def test_default_W_ladder():
     assert DEFAULT_W == (5.0, 7.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 
-@pytest.mark.parametrize("text, message", [
+@pytest.mark.parametrize("text, line, message", [
     ("generator.order = 4\nscheme.offset_mode = equally_spaced\nscheme.L = 4\n"
      "prediction.eps0 = 2\nprediction.spacing = 0.25\nW.list = 5, 20\n",
-     "eps0 = 2.0 < rho = 4"),
+     None, "eps0 = 2.0 < rho = 4"),
     ("generator.order = 2\nscheme.offset_mode = equally_spaced\nscheme.L = 1\n"
      "scheme.r = 2\nprediction.eps0 = 4\nprediction.spacing = 0.25\n"
-     "W.list = 5, 20\n", "scheme needs derivatives up to order 1"),
+     "W.list = 5, 20\n", 4, "scheme needs derivatives up to order 1"),
 ], ids=["eps0_below_rho", "r2_on_Q2"])
-def test_table1_config_errors_exit_2(runner, tmp_path, text, message):
+def test_table1_config_errors_exit_2(runner, tmp_path, text, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
+    where = f"{cfg}" if line is None else f"{cfg}:{line}"
     for sub in ("table1", "predict"):
         res = runner.invoke(main, [sub, "--config", str(cfg),
                                    "--out", str(tmp_path / sub)])
         assert res.exit_code == EXIT_CONFIG
-        assert f"config error: {cfg}: {message}" in res.output
+        assert f"config error: {where}: {message}" in res.output
 
 
 @pytest.mark.parametrize("eps0, spacing, L", [(4.1, 0.3, 4), (6.0, 0.1, 6)])
@@ -486,14 +488,29 @@ CONFIG_ERRORS = {
                    "B-spline order must be an integer >= 1, got 0"),
     "db3_r2": ("check-cis", "generator.kind = daubechies\ngenerator.order = 3\n"
                "scheme.offset_mode = equally_spaced\nscheme.L = 2\nscheme.r = 2\n",
-               None, "scheme needs derivatives up to order 1 but the generator "
+               5, "scheme needs derivatives up to order 1 but the generator "
                "only provides 0"),
+    "level_without_daubechies": ("kernels", "generator.level = 8\n" + _MODE, 1,
+                                 "generator.level applies only to daubechies"),
+    "spacing_with_epsilons": ("predict", _MODE + "prediction.epsilons = 4, 5, 6, 7\n"
+                              "prediction.spacing = 0.25\n", 5,
+                              "prediction.spacing applies only with prediction.eps0"),
+    "missing_signal_file": ("check-cis", _MODE + "signal.file = {tmp}/absent.csv\n",
+                            4, "cannot read signal.file {tmp}/absent.csv: "),
+    "ragged_signal_file": ("check-cis", _MODE + "signal.file = {tmp}/ragged.csv\n",
+                           4, "cannot read signal.file {tmp}/ragged.csv: the number "
+                           "of columns changed"),
+    "one_column_signal_file": ("check-cis", _MODE + "signal.file = {tmp}/one.csv\n",
+                               4, "cannot read signal.file {tmp}/one.csv: "),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
 def test_config_errors_name_the_offending_line(runner, tmp_path, case):
     sub, text, line, message = CONFIG_ERRORS[case]
+    (tmp_path / "ragged.csv").write_text("t,v\n0,1\n1,2,3\n")
+    (tmp_path / "one.csv").write_text("t\n0\n1\n")
+    text, message = (s.replace("{tmp}", str(tmp_path)) for s in (text, message))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     res = runner.invoke(main, [sub, "--config", str(cfg),
@@ -501,3 +518,22 @@ def test_config_errors_name_the_offending_line(runner, tmp_path, case):
     assert res.exit_code == EXIT_CONFIG
     where = f"{cfg}" if line is None else f"{cfg}:{line}"
     assert f"config error: {where}: {message}" in res.output
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_EXITS))
+def test_resolved_cfg_reloads_to_the_same_run(runner, tmp_path, name):
+    path = CONFIGS / f"{name}.cfg"
+    runner.invoke(main, ["check-cis", "--config", str(path), "--out",
+                         str(tmp_path), "--quiet"])
+    cfg, again = load_config(str(path)), load_config(str(tmp_path / "resolved.cfg"))
+    assert again.gen.descriptor() == cfg.gen.descriptor()
+    for field in ("scheme", "epsilons", "weights", "W_list", "p"):
+        assert getattr(again, field) == getattr(cfg, field), field
+
+
+def test_readme_key_table_is_the_config_key_table():
+    section = (ROOT / "README.md").read_text().split("### Config format\n")[1]
+    section = section.split("\n## ")[0]
+    keys = [key for row in section.splitlines() if row.startswith("|")
+            for key in re.findall(r"`([\w]+\.[\w.]+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(_KEYS)
