@@ -119,11 +119,20 @@ def _simpson(vals: np.ndarray, h: float) -> float:
     return float(h / 3.0 * (w @ vals))
 
 
-def _lp_once(kset, signal, W, p, a, b, panels):
+def _lp_once(kset, signal, W, p, a, b, panels, coarse=None):
+    """One Simpson pass on 2 panels + 1 nodes: the norm and |S_W f - f| at
+    the nodes.  coarse is that difference for panels / 2 panels, whose
+    nodes are every other node here (linspace gives them bit for bit), so
+    only the odd nodes are evaluated; the series and f are pointwise."""
     ts = np.linspace(a, b, 2 * panels + 1)
-    diff = np.abs(_series_eval(kset, signal, W, ts)
-                  - np.asarray(signal.eval(ts), dtype=float))
-    return _simpson(diff ** p, ts[1] - ts[0]) ** (1.0 / p)
+    new = ts if coarse is None else ts[1::2]
+    diff = np.abs(_series_eval(kset, signal, W, new)
+                  - np.asarray(signal.eval(new), dtype=float))
+    if coarse is not None:
+        odd, diff = diff, np.empty(len(ts))
+        diff[::2] = coarse
+        diff[1::2] = odd
+    return _simpson(diff ** p, ts[1] - ts[0]) ** (1.0 / p), diff
 
 
 def lp_error(kset, signal: TestSignal, W: float, p: float = 2.0,
@@ -152,15 +161,15 @@ def lp_error(kset, signal: TestSignal, W: float, p: float = 2.0,
     if quad_n is not None:
         if quad_n < 1:
             raise ValueError("quad_n must be >= 1")
-        return _lp_once(kset, signal, W, p, a, b, int(quad_n))
+        return _lp_once(kset, signal, W, p, a, b, int(quad_n))[0]
     panels = ceil(25.0 * W * (b - a))
-    value = _lp_once(kset, signal, W, p, a, b, panels)
+    value, diff = _lp_once(kset, signal, W, p, a, b, panels)
     for _ in range(3):
-        finer = _lp_once(kset, signal, W, p, a, b, 2 * panels)
+        panels *= 2
+        finer, diff = _lp_once(kset, signal, W, p, a, b, panels, diff)
         change = abs(finer - value) / max(abs(finer), 1e-300)
         if change <= 1e-3:
             return finer
-        panels *= 2
         value = finer
     if value > _NOISE_FLOOR:
         warnings.warn(f"lp_error at W = {W:g} did not converge: {panels} Simpson "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -192,10 +193,21 @@ def _resolve_prediction(v: dict, fail, scheme: SamplingScheme):
 
 def _signal_from_file(path: str) -> TestSignal:
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty table is refused below in one line, not also warned of
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if len(rows) == 0:
+            raise ConfigError(f"signal.file {path} has no data rows")
         ts, vs = rows[:, 0], rows[:, 1]
     except (OSError, ValueError, IndexError) as exc:
         raise ConfigError(f"cannot read signal.file {path}: {exc}")
+    # np.interp reads a t column that is not increasing without a word
+    down = np.flatnonzero(~(ts[1:] > ts[:-1]))
+    if down.size:
+        i = int(down[0])
+        raise ConfigError(f"the t column of signal.file {path} is not strictly "
+                          f"increasing: {ts[i]:g} then {ts[i + 1]:g}")
 
     def f(t):
         return np.interp(t, ts, vs, left=0.0, right=0.0)

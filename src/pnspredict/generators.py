@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, factorial, sqrt
+from math import ceil, comb, factorial, floor, sqrt
 
 import numpy as np
 
@@ -45,6 +45,12 @@ class Generator:
     def eval(self, t, s: int = 0):
         """phi^(s)(t): piece(floor(t), t - floor(t), s) on [0, mu), zero off
         it.  Values at the knots are right-hand limits; NaN stays NaN."""
+        if isinstance(t, float) and t == t:
+            # one point, read as the array path reads it, without the arrays
+            if not 0.0 <= t < self.mu:
+                return 0.0
+            q = floor(t)
+            return float(self.piece(q, np.float64(t - q), s))
         arr = np.asarray(t, dtype=float)
         off = (arr < 0.0) | (arr >= self.mu)
         x = np.where(off, 0.0, arr)
@@ -176,21 +182,28 @@ def _daubechies_table(d: int, level: int):
     # phi(i) for i = 1..mu-1 from T v = v, T[i, j] = sqrt(2) h[2i - j]
     values = np.zeros(mu + 1)
     values[1:mu] = _refinement_fixed_point(sqrt(2.0) * h, 0, 1, mu)
-    gap = np.inf
+    # the products of every level go through one scratch row
+    tmp = np.empty(mu << (level - 1))
+    acc = values[1::2]
     for lev in range(1, level + 1):
         n_prev = len(values)
-        fine = np.zeros(2 * (n_prev - 1) + 1)
-        fine[::2] = values
-        # fine index 2j + 1 reads values[2j + 1 - k 2^(lev-1)]: a step-2 run
+        # fine index 2j + 1 reads values[2j + 1 - k 2^(lev-1)]: a step-2 run,
+        # the odd entries (the previous acc) once the shifts are even
+        odd = acc
         acc = np.zeros(n_prev - 1)
         for k, hk in enumerate(h):
             shift = k << (lev - 1)
-            dst, src = acc[shift // 2:], values[1 - shift % 2::2]
+            dst, src = acc[shift // 2:], odd if shift % 2 == 0 else values[::2]
             n = min(len(dst), len(src))
-            dst[:n] += sqrt(2.0) * hk * src[:n]
+            dst[:n] += np.multiply(sqrt(2.0) * hk, src[:n], out=tmp[:n])
+        fine = np.empty(2 * n_prev - 1)
+        fine[::2] = values
         fine[1::2] = acc
-        gap = float(np.abs(acc - 0.5 * (fine[:-1:2] + fine[2::2])).max())
         values = fine
+    mid = np.add(values[:-1:2], values[2::2], out=tmp)
+    mid *= 0.5
+    np.subtract(acc, mid, out=mid)
+    gap = float(np.abs(mid, out=mid).max())
     # holds exactly by construction; guards against a broken filter
     resid = _refinement_residual(h, values, level)
     if resid > 1e-8:
@@ -205,10 +218,12 @@ def _refinement_residual(h, values, level: int) -> float:
     """
     interp = np.zeros_like(values)
     even = values[::2]
+    tmp = np.empty(len(even))
     for k, hk in enumerate(h):
         seg = interp[k << (level - 1):][:len(even)]
-        seg += sqrt(2.0) * hk * even[:len(seg)]
-    return float(np.abs(interp - values).max())
+        seg += np.multiply(sqrt(2.0) * hk, even[:len(seg)], out=tmp[:len(seg)])
+    interp -= values
+    return float(np.abs(interp, out=interp).max())
 
 
 def _refinement_fixed_point(filt, first: int, lo: int, hi: int) -> np.ndarray:
@@ -243,6 +258,12 @@ class DaubechiesGenerator(Generator):
         self.taps, self._values, self.level_gap = _daubechies_table(self.d, self.level)
         self.mu = float(2 * self.d - 1)
         self.regularity = 0
+
+    def eval(self, t, s: int = 0):
+        # refused before the scalar path can return 0.0 off the support
+        if s != 0:
+            raise ValueError("Daubechies generator exposes function values only")
+        return super().eval(t, s)
 
     def piece(self, q, u, s: int = 0) -> np.ndarray:
         """phi(q + u) straight from the dyadic table, as np.interp reads it.
@@ -360,7 +381,7 @@ def _expand(gen: Generator, coefs, start, nodes, weights, x) -> np.ndarray:
     frac = nodes - whole
     n_pieces = ceil(gen.mu)
     out = np.zeros(x.shape)
-    for delta in np.unique(frac):
+    for delta in sorted(set(frac.tolist())):
         cls = frac == delta
         ints = whole[cls].astype(np.int64)
         lo = int(ints.min()) - 1

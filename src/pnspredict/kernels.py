@@ -80,7 +80,7 @@ def invert_polyphase(psi: LaurentMatrix, n_fft: int = 64) -> LaurentMatrix:
                 "scheme is not a CIS")
         inv = np.linalg.inv(M)
         return LaurentMatrix(psi.dim, {-k: np.where((e == k)[:, None], inv, 0.0)
-                                       for k in np.unique(e)})
+                                       for k in sorted(set(e.tolist()))})
     xs = np.arange(n) / n
     samples = psi(xs)
     dets = np.abs(np.linalg.det(samples))

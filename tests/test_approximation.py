@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pnspredict import approximation
 from pnspredict.approximation import (TestSignal, approx_operator,
                                       builtin_signal, convergence_study,
                                       lp_error, tau_modulus_estimate)
@@ -121,6 +126,60 @@ def test_lp_error_converged_refinement_is_silent(kernels_quartic_r1):
         # an error at the noise floor is exact reproduction, not a stall
         one = TestSignal("one", (lambda t: np.ones_like(np.asarray(t, float)),))
         lp_error(kernels_quartic_r1, one, 8.0)
+
+
+def _recording(monkeypatch, name):
+    """Replace approximation.<name> by a wrapper that logs its arguments."""
+    calls, inner = [], getattr(approximation, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(approximation, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("kset", ("pred_quartic_r1", "pred_db3"))
+def test_refined_error_is_the_error_at_the_final_panel_count(request, monkeypatch,
+                                                             kset):
+    # the doubled grid reuses the coarse nodes' values, bit for bit
+    kset = request.getfixturevalue(kset)
+    f = builtin_signal("f")
+    passes = _recording(monkeypatch, "_lp_once")
+    adaptive = lp_error(kset, f, 20.0)
+    assert lp_error(kset, f, 20.0, quad_n=passes[-1][6]) == adaptive
+
+
+def test_refinement_evaluates_each_node_once(monkeypatch, pred_quartic_r1):
+    seen = _recording(monkeypatch, "_series_eval")
+    lp_error(pred_quartic_r1, builtin_signal("f"), 20.0)
+    coarse, odd = (np.asarray(args[3]) for args in seen)
+    n = len(odd) // 2
+    assert (len(coarse), len(odd)) == (2 * n + 1, 2 * n)
+    nodes = np.sort(np.concatenate([coarse, odd]))
+    assert np.array_equal(nodes, np.linspace(coarse[0], coarse[-1], 4 * n + 1))
+
+
+def test_lp_error_does_not_import_numpy_ma():
+    # numpy.ma costs a fresh process about 20 ms; np.unique imports it
+    script = (
+        "import sys\n"
+        "import pnspredict as pp, pnspredict.cli\n"
+        "for gen, scheme, eps in (\n"
+        "        (pp.BSplineGenerator(4), pp.SamplingScheme((0, .25, .5, .75), 1),\n"
+        "         (4, 4.25, 4.5, 4.75)),\n"
+        "        (pp.DaubechiesGenerator(3), pp.SamplingScheme.chebyshev(5, 1),\n"
+        "         (5, 10, 15, 20, 25))):\n"
+        "    psi = pp.build_polyphase(gen, scheme)\n"
+        "    ks = pp.build_kernels(gen, scheme, pp.invert_polyphase(psi))\n"
+        "    pp.lp_error(pp.modify_kernels(ks, eps), pp.builtin_signal('f'), 10.0)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = Path(approximation.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "False\n"
 
 
 def test_quadrature_refinement_is_settled(pred_quartic_r1):

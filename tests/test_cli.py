@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -502,14 +505,25 @@ CONFIG_ERRORS = {
                            "of columns changed"),
     "one_column_signal_file": ("check-cis", _MODE + "signal.file = {tmp}/one.csv\n",
                                4, "cannot read signal.file {tmp}/one.csv: "),
+    "header_only_signal_file": ("check-cis", _MODE + "signal.file = {tmp}/header.csv\n",
+                                4, "signal.file {tmp}/header.csv has no data rows"),
+    "unsorted_signal_file": ("check-cis", _MODE + "signal.file = {tmp}/unsorted.csv\n",
+                             4, "the t column of signal.file {tmp}/unsorted.csv is "
+                             "not strictly increasing: 1 then 0"),
 }
+
+
+def _write_signal_files(tmp_path):
+    (tmp_path / "ragged.csv").write_text("t,v\n0,1\n1,2,3\n")
+    (tmp_path / "one.csv").write_text("t\n0\n1\n")
+    (tmp_path / "header.csv").write_text("t,v\n")
+    (tmp_path / "unsorted.csv").write_text("t,v\n1,1\n0,0\n2,4\n")
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
 def test_config_errors_name_the_offending_line(runner, tmp_path, case):
     sub, text, line, message = CONFIG_ERRORS[case]
-    (tmp_path / "ragged.csv").write_text("t,v\n0,1\n1,2,3\n")
-    (tmp_path / "one.csv").write_text("t\n0\n1\n")
+    _write_signal_files(tmp_path)
     text, message = (s.replace("{tmp}", str(tmp_path)) for s in (text, message))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -518,6 +532,20 @@ def test_config_errors_name_the_offending_line(runner, tmp_path, case):
     assert res.exit_code == EXIT_CONFIG
     where = f"{cfg}" if line is None else f"{cfg}:{line}"
     assert f"config error: {where}: {message}" in res.output
+
+
+def test_header_only_signal_file_is_one_line_on_stderr(tmp_path):
+    # numpy warns of the empty table on stderr before the refusal
+    _write_signal_files(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_MODE + f"signal.file = {tmp_path}/header.csv\n")
+    res = subprocess.run([sys.executable, "-m", "pnspredict.cli", "check-cis",
+                          "--config", str(cfg), "--out", str(tmp_path / "o")],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert res.returncode == EXIT_CONFIG
+    assert res.stderr.splitlines() == [
+        f"config error: {cfg}:4: signal.file {tmp_path}/header.csv has no data rows"]
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_EXITS))

@@ -173,8 +173,25 @@ def test_daubechies_partition_of_unity(db3):
 
 def test_daubechies_rejects_derivatives(db3):
     assert db3.regularity == 0
-    with pytest.raises(ValueError):
-        db3.eval(0.5, 1)
+    for t in (0.5, -1.0, np.array([0.5, -1.0])):
+        with pytest.raises(ValueError):
+            db3.eval(t, 1)
+
+
+@pytest.mark.parametrize("gen", [BSplineGenerator(m) for m in range(1, 7)]
+                         + [DaubechiesGenerator(d) for d in (2, 3, 4)], ids=repr)
+def test_scalar_eval_matches_the_array_path(gen):
+    # a float takes its own path; it must agree bit for bit, sign of zero included
+    ts = np.concatenate([np.random.default_rng(7).uniform(-1.0, gen.mu + 1.0, 2000),
+                         np.arange(-1.0, gen.mu + 2.0), [-0.0, np.nextafter(gen.mu, 0),
+                                                          -np.inf, np.inf]])
+    for s in range(getattr(gen, "m", 1)):
+        want = gen.eval(ts, s)
+        for t, w in zip(ts.tolist(), want):
+            for point in (t, np.float64(t)):
+                got = gen.eval(point, s)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == w.tobytes(), (t, s)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
@@ -381,7 +398,7 @@ def _interp_residual(h, values, level):
 @pytest.mark.parametrize("d", (2, 3, 4))
 def test_daubechies_table_matches_mask_cascade(d):
     # the dyadic values are exact at every level, the coarse ones included
-    for level in range(1, 11):
+    for level in list(range(1, 11)) + ([18] if d == 3 else []):
         h, want, gap = _mask_cascade(d, level)
         taps, values, level_gap = _daubechies_table.__wrapped__(d, level)
         assert np.array_equal(taps, h)
