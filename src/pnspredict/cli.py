@@ -122,7 +122,8 @@ def _resolve_generator(v: dict, fail):
             return (DaubechiesGenerator(order) if level is None
                     else DaubechiesGenerator(order, level))
     except ValueError as exc:
-        fail("generator.order", str(exc))
+        bad_level = level is not None and level < 1
+        fail("generator.level" if bad_level else "generator.order", str(exc))
     fail("generator.kind", f"unknown generator kind {kind!r}")
 
 

@@ -34,6 +34,18 @@ __all__ = [
     "generator_from_descriptor",
 ]
 
+# Entries per block (64 KiB of float64).  Passes over many points or over a
+# Daubechies table run block by block, so their temporaries stay this small
+# whatever the input size: below glibc's default mmap threshold (128 KiB),
+# where malloc reuses freed memory instead of mapping fresh pages each time.
+_BLOCK = 8192
+
+
+def _integer_at_least(v, least: int, what: str) -> int:
+    if not isinstance(v, (int, np.integer)) or v < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {v!r}")
+    return int(v)
+
 
 class Generator:
     """Base class: compact support [0, mu], derivatives up to `regularity`."""
@@ -51,12 +63,17 @@ class Generator:
                 return 0.0
             q = floor(t)
             return float(self.piece(q, np.float64(t - q), s))
-        arr = np.asarray(t, dtype=float)
-        off = (arr < 0.0) | (arr >= self.mu)
-        x = np.where(off, 0.0, arr)
-        # fmax sends a NaN t to piece 0, where u = NaN carries it through
-        q = np.fmax(np.floor(x), 0.0)
-        out = np.where(off, 0.0, self.piece(q.astype(np.intp), x - q, s))
+        arr = np.asarray(t)
+        out = np.empty(arr.shape)
+        flat, flat_out = arr.reshape(-1), out.reshape(-1)
+        for a in range(0, arr.size, _BLOCK):
+            tb = np.asarray(flat[a:a + _BLOCK], dtype=float)
+            off = (tb < 0.0) | (tb >= self.mu)
+            x = np.where(off, 0.0, tb)
+            # fmax sends a NaN t to piece 0, where u = NaN carries it through
+            q = np.fmax(np.floor(x), 0.0)
+            flat_out[a:a + _BLOCK] = np.where(
+                off, 0.0, self.piece(q.astype(np.intp), x - q, s))
         return float(out) if arr.ndim == 0 else out
 
     def piece(self, q, u, s: int = 0) -> np.ndarray:
@@ -99,11 +116,9 @@ class BSplineGenerator(Generator):
     kind = "bspline"
 
     def __init__(self, m: int):
-        if not isinstance(m, (int, np.integer)) or m < 1:
-            raise ValueError(f"B-spline order must be an integer >= 1, got {m!r}")
-        self.m = int(m)
+        self.m = _integer_at_least(m, 1, "B-spline order")
         self.mu = float(m)
-        self.regularity = max(m - 2, 0)
+        self.regularity = max(self.m - 2, 0)
 
     def eval(self, t, s: int = 0):
         if not 0 <= s <= self.m - 1:
@@ -136,9 +151,7 @@ def daubechies_taps(d: int) -> np.ndarray:
     the roots of q inside the unit disc together with a d-fold zero at z = -1.
     The result is validated against the two defining identities before use.
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"Daubechies order must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = _integer_at_least(d, 2, "Daubechies order")
     # q(z) = sum_k C(d-1+k, k) (-1/4)^k z^(d-1-k) (z-1)^(2k)
     q = np.zeros(2 * d - 1)
     for k in range(d):
@@ -176,39 +189,58 @@ def _daubechies_table(d: int, level: int):
     matrix; finer dyadic values follow exactly from the refinement equation.
     Returns (taps, values, midpoint_gap) where midpoint_gap is the sup distance
     between the final level and the previous level's linear interpolant.
+
+    The table is filled in place: with s = 2^(level - lev), level lev's new
+    points are values[s::2s] and the points before it values[::2s].  Every
+    product and sum goes through one scratch of _BLOCK entries per row.
     """
     h = daubechies_taps(d)
     mu = 2 * d - 1
+    values = np.zeros((mu << level) + 1)
     # phi(i) for i = 1..mu-1 from T v = v, T[i, j] = sqrt(2) h[2i - j]
-    values = np.zeros(mu + 1)
-    values[1:mu] = _refinement_fixed_point(sqrt(2.0) * h, 0, 1, mu)
-    # the products of every level go through one scratch row
-    tmp = np.empty(mu << (level - 1))
-    acc = values[1::2]
+    values[::1 << level][1:mu] = _refinement_fixed_point(sqrt(2.0) * h, 0, 1, mu)
+    acc, tmp = np.empty((2, _BLOCK))
     for lev in range(1, level + 1):
-        n_prev = len(values)
-        # fine index 2j + 1 reads values[2j + 1 - k 2^(lev-1)]: a step-2 run,
-        # the odd entries (the previous acc) once the shifts are even
-        odd = acc
-        acc = np.zeros(n_prev - 1)
+        s = 1 << (level - lev)
+        prev, new = values[::2 * s], values[s::2 * s]
+        # new point j reads prev[2j + 1 - k 2^(lev-1)]: a step-2 run, over
+        # the odd entries once the shifts are even
+        terms = []
         for k, hk in enumerate(h):
             shift = k << (lev - 1)
-            dst, src = acc[shift // 2:], odd if shift % 2 == 0 else values[::2]
-            n = min(len(dst), len(src))
-            dst[:n] += np.multiply(sqrt(2.0) * hk, src[:n], out=tmp[:n])
-        fine = np.empty(2 * n_prev - 1)
-        fine[::2] = values
-        fine[1::2] = acc
-        values = fine
-    mid = np.add(values[:-1:2], values[2::2], out=tmp)
-    mid *= 0.5
-    np.subtract(acc, mid, out=mid)
-    gap = float(np.abs(mid, out=mid).max())
+            terms.append((sqrt(2.0) * hk, prev[1::2] if shift % 2 == 0 else prev[::2],
+                          shift // 2))
+        for a in range(0, len(new), _BLOCK):
+            block = _tap_sum(terms, a, min(_BLOCK, len(new) - a), acc, tmp)
+            new[a:a + len(block)] = block
+    # the last level's points against the midpoints of their neighbours
+    even, odd = values[::2], values[1::2]
+    gap = 0.0
+    for a in range(0, len(odd), _BLOCK):
+        n = min(_BLOCK, len(odd) - a)
+        mid = np.add(even[a:a + n], even[a + 1:a + n + 1], out=tmp[:n])
+        mid *= 0.5
+        np.subtract(odd[a:a + n], mid, out=mid)
+        gap = np.maximum(gap, np.abs(mid, out=mid).max())
     # holds exactly by construction; guards against a broken filter
     resid = _refinement_residual(h, values, level)
     if resid > 1e-8:
         raise RuntimeError(f"cascade failed to converge: refinement residual {resid:.3e}")
-    return h, values, gap
+    return h, values, float(gap)
+
+
+def _tap_sum(terms, a: int, n: int, acc, tmp) -> np.ndarray:
+    """acc[:n] with acc[j - a] = sum of c * src[j - off] over the (c, src, off)
+    of terms, in order, for j = a..a+n-1 and only where j - off indexes src;
+    tmp holds each product."""
+    acc = acc[:n]
+    acc[:] = 0.0
+    for c, src, off in terms:
+        lo, hi = max(a, off), min(a + n, off + len(src))
+        if lo < hi:
+            acc[lo - a:hi - a] += np.multiply(c, src[lo - off:hi - off],
+                                              out=tmp[:hi - lo])
+    return acc
 
 
 def _refinement_residual(h, values, level: int) -> float:
@@ -216,14 +248,15 @@ def _refinement_residual(h, values, level: int) -> float:
 
     2t - k is the table point 2i - k 2^level, so no interpolation is needed.
     """
-    interp = np.zeros_like(values)
     even = values[::2]
-    tmp = np.empty(len(even))
-    for k, hk in enumerate(h):
-        seg = interp[k << (level - 1):][:len(even)]
-        seg += np.multiply(sqrt(2.0) * hk, even[:len(seg)], out=tmp[:len(seg)])
-    interp -= values
-    return float(np.abs(interp, out=interp).max())
+    terms = [(sqrt(2.0) * hk, even, k << (level - 1)) for k, hk in enumerate(h)]
+    acc, tmp = np.empty((2, _BLOCK))
+    resid = 0.0
+    for a in range(0, len(values), _BLOCK):
+        interp = _tap_sum(terms, a, min(_BLOCK, len(values) - a), acc, tmp)
+        interp -= values[a:a + len(interp)]
+        resid = np.maximum(resid, np.abs(interp, out=interp).max())
+    return float(resid)
 
 
 def _refinement_fixed_point(filt, first: int, lo: int, hi: int) -> np.ndarray:
@@ -251,10 +284,9 @@ class DaubechiesGenerator(Generator):
     kind = "daubechies"
 
     def __init__(self, d: int = 3, level: int = 18):
-        if level < 1:
-            raise ValueError("refinement level must be >= 1")
-        self.d = int(d)
-        self.level = int(level)
+        # checked before the cached table, which int-valued floats would hit
+        self.level = _integer_at_least(level, 1, "refinement level")
+        self.d = _integer_at_least(d, 2, "Daubechies order")
         self.taps, self._values, self.level_gap = _daubechies_table(self.d, self.level)
         self.mu = float(2 * self.d - 1)
         self.regularity = 0
@@ -371,7 +403,8 @@ def _expand(gen: Generator, coefs, start, nodes, weights, x) -> np.ndarray:
     only the ceil(mu) pieces b[m - q] phi(q + u), q = 0 .. ceil(mu) - 1.
 
     Every point is computed from its own x with elementwise operations in a
-    fixed order, so its value does not depend on the other points.
+    fixed order, so its value does not depend on the other points, and the
+    points go through in blocks of _BLOCK.
     """
     x = np.asarray(x, dtype=float)
     coefs = np.asarray(coefs, dtype=float).ravel()
@@ -380,22 +413,27 @@ def _expand(gen: Generator, coefs, start, nodes, weights, x) -> np.ndarray:
     whole = np.floor(nodes)
     frac = nodes - whole
     n_pieces = ceil(gen.mu)
-    out = np.zeros(x.shape)
+    classes = []
     for delta in sorted(set(frac.tolist())):
         cls = frac == delta
         ints = whole[cls].astype(np.int64)
         lo = int(ints.min()) - 1
-        k0 = start + lo                 # b[j] multiplies phi(y - k0 - j)
         # b[0] and b[-1] stay zero; indices off the vector clip onto them
         b = np.zeros(len(coefs) + int(ints.max()) - lo + 1)
         for e, w in zip(ints.tolist(), weights[cls]):
             b[e - lo:e - lo + len(coefs)] += w * coefs
-        y = x - delta
-        m = np.floor(y)
-        u = y - m
-        base = np.fmax(np.fmin(m - k0, len(b) + n_pieces), -1).astype(np.intp)
-        for q in range(n_pieces):
-            out += b.take(base - q, mode="clip") * gen.piece(q, u)
+        classes.append((delta, start + lo, b))   # b[j] multiplies phi(y - k0 - j)
+    out = np.zeros(x.shape)
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    for a in range(0, x.size, _BLOCK):
+        xb, ob = flat[a:a + _BLOCK], flat_out[a:a + _BLOCK]
+        for delta, k0, b in classes:
+            y = xb - delta
+            m = np.floor(y)
+            u = y - m
+            base = np.fmax(np.fmin(m - k0, len(b) + n_pieces), -1).astype(np.intp)
+            for q in range(n_pieces):
+                ob += b.take(base - q, mode="clip") * gen.piece(q, u)
     return out
 
 

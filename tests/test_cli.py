@@ -495,6 +495,10 @@ CONFIG_ERRORS = {
                "only provides 0"),
     "level_without_daubechies": ("kernels", "generator.level = 8\n" + _MODE, 1,
                                  "generator.level applies only to daubechies"),
+    "level_zero": ("kernels", "generator.kind = daubechies\ngenerator.order = 3\n"
+                   "scheme.offset_mode = equally_spaced\nscheme.L = 4\n"
+                   "generator.level = 0\n", 5,
+                   "refinement level must be an integer >= 1, got 0"),
     "spacing_with_epsilons": ("predict", _MODE + "prediction.epsilons = 4, 5, 6, 7\n"
                               "prediction.spacing = 0.25\n", 5,
                               "prediction.spacing applies only with prediction.eps0"),

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from math import ceil, comb, factorial, sqrt
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pnspredict.generators import (BSplineGenerator, DaubechiesGenerator, Generator,
-                                   TabulatedGenerator, _bspline_pieces,
+from pnspredict.generators import (_BLOCK, BSplineGenerator, DaubechiesGenerator,
+                                   Generator, TabulatedGenerator, _bspline_pieces,
                                    _daubechies_table, _expand,
                                    _refinement_residual, daubechies_taps,
                                    generator_from_descriptor, stability_bounds)
@@ -398,7 +399,9 @@ def _interp_residual(h, values, level):
 @pytest.mark.parametrize("d", (2, 3, 4))
 def test_daubechies_table_matches_mask_cascade(d):
     # the dyadic values are exact at every level, the coarse ones included
-    for level in list(range(1, 11)) + ([18] if d == 3 else []):
+    # levels 13 and 14 run over several blocks: 13's last level ends in a
+    # partial one, 14's residual in a single entry
+    for level in list(range(1, 11)) + ([18] if d == 3 else [13, 14]):
         h, want, gap = _mask_cascade(d, level)
         taps, values, level_gap = _daubechies_table.__wrapped__(d, level)
         assert np.array_equal(taps, h)
@@ -420,6 +423,109 @@ def test_refinement_residual_sees_a_perturbed_entry():
     bad[3 * 2 ** 7 + 11] += 1e-6
     assert _refinement_residual(h, values, 8) < 1e-14
     assert _refinement_residual(h, bad, 8) > 1e-8
+
+
+def test_refinement_residual_sees_an_entry_at_every_block_edge():
+    # level 14 spans several blocks and ends in a one-entry block
+    h, values, _ = _daubechies_table.__wrapped__(2, 14)
+    assert _refinement_residual(h, values, 14) < 1e-14
+    for i in (0, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 7, len(values) - 2, len(values) - 1):
+        bad = values.copy()
+        bad[i] += 1e-6
+        assert _refinement_residual(h, bad, 14) > 1e-8, i
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes traced while fn(*args) ran)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_daubechies_table_needs_little_beyond_itself(d):
+    (_, values, _), peak = _traced_peak(_daubechies_table.__wrapped__, d, 18)
+    assert peak <= values.nbytes + 2 ** 20
+
+
+@pytest.mark.parametrize("gen", [BSplineGenerator(5), DaubechiesGenerator(3)], ids=repr)
+def test_expand_needs_little_beyond_its_points(gen):
+    x = np.linspace(-3.0, 30.0, 200_000)
+    nodes = np.array([4.0, 4.25, 4.5, 4.75])
+    out, peak = _traced_peak(_expand, gen, np.arange(1.0, 8.0), -2, nodes,
+                             np.array([1.0, -2.0, 3.0, 0.5]), x)
+    assert peak <= out.nbytes + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("args", [(3.7,), (3, 2.5), (3.0,), (3, 18.0), ("3",),
+                                  (3, "18"), (3, 0), (1,)])
+def test_daubechies_refuses_bad_arguments_before_the_table(args):
+    # int() would truncate 3.7 to db3 and 2.5 to level 2
+    def build():
+        with pytest.raises(ValueError, match="must be an integer"):
+            DaubechiesGenerator(*args)
+    _, peak = _traced_peak(build)
+    assert peak < 2 ** 20
+    gen = DaubechiesGenerator(np.int64(2), np.int64(4))
+    assert (gen.d, gen.level) == (2, 4) and type(gen.level) is int
+
+
+# Points straddling the block edges, with the values that take special paths
+# (knots, the support's ends, NaN and the infinities) at the edges.
+_EDGE_N = 3 * _BLOCK + 5
+_CUTS = (0, 1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK + 2, _EDGE_N)
+
+
+def _edge_points(mu, infinite=True):
+    x = np.random.default_rng(11).uniform(-2.0, mu + 12.0, _EDGE_N)
+    x[_BLOCK - 2:_BLOCK + 6] = [0.0, -0.0, mu, np.nextafter(mu, 0), 1.0, np.nan,
+                                np.inf if infinite else 3.0, -np.inf if infinite else 0.5]
+    x[-3:] = [2.0, 0.25, mu + 7.5]
+    return x
+
+
+def _slice_by_slice(fn, x):
+    return np.concatenate([fn(x[a:b]) for a, b in zip(_CUTS, _CUTS[1:])])
+
+
+@pytest.mark.parametrize("name", ("Q5", "db3", "tab"))
+def test_expand_over_block_edges_matches_slices(name):
+    gen = _generator(name)
+    x = _edge_points(gen.mu, infinite=False)
+    nodes = np.array([4.0, 4.25, 4.5, 4.75, 5.1])
+    weights = np.array([1.0, -2.0, 3.0, 0.5, -0.25])
+
+    def fn(pts):
+        return _expand(gen, np.arange(1.0, 8.0), -2, nodes, weights, pts)
+    assert fn(x).tobytes() == _slice_by_slice(fn, x).tobytes()
+
+
+@pytest.mark.parametrize("fixture", ("kernels_hermite", "kernels_db3"))
+def test_kernel_over_block_edges_matches_slices(request, fixture):
+    ks = request.getfixturevalue(fixture)
+    x = _edge_points(ks.support[1] - ks.support[0], infinite=False) + ks.support[0]
+    for n in range(ks.scheme.L):
+        for i in range(ks.scheme.r):
+            def fn(pts):
+                return ks.kernel(n, i, pts)
+            assert fn(x).tobytes() == _slice_by_slice(fn, x).tobytes(), (n, i)
+
+
+@pytest.mark.parametrize("gen", [BSplineGenerator(5), DaubechiesGenerator(3)], ids=repr)
+def test_eval_over_block_edges_matches_slices(gen):
+    x = _edge_points(gen.mu)
+    for s in range(getattr(gen, "m", 1)):
+        def fn(pts):
+            return gen.eval(pts, s)
+        want = _slice_by_slice(fn, x)
+        assert fn(x).tobytes() == want.tobytes(), s
+        # the shape moment_defects passes: long double points less one shift a row
+        shifts = np.array([0.0, 1.5, -2.0])
+        grid = x.astype(np.longdouble) - shifts[:, None]
+        rows = [_slice_by_slice(fn, row.astype(float)) for row in grid]
+        assert fn(grid).tobytes() == np.stack(rows).tobytes(), s
 
 
 def _orthonormality_defect(h):
