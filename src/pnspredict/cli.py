@@ -409,13 +409,13 @@ def main():
 
 
 def _subcommand(name, *extra_options, builtin=None, setup=None):
-    """Register body(cfg, out, grid_n, quiet, **extra) as subcommand `name`.
+    """Register body(cfg, out, grid, quiet, **extra) as subcommand `name`.
 
-    The command resolves --config (or, when it is absent, the `builtin`
-    pair of config text and source name), passes the RunConfig through
-    `setup`, creates --out, writes resolved.cfg there, runs the body and
-    exits with its code.  ConfigError exits 2 and SingularSamplePointError
-    exits 3, each with its message on stderr.
+    The command refuses a --grid below 32 (det_on_circle's least), resolves
+    --config (else the `builtin` pair of config text and source name),
+    passes the RunConfig through `setup`, creates --out, writes resolved.cfg
+    there, runs the body and exits with its code.  ConfigError exits 2 and
+    SingularSamplePointError exits 3, each with its message on stderr.
     """
     if builtin is None:
         config = click.option("--config", "config_path", required=True,
@@ -431,15 +431,17 @@ def _subcommand(name, *extra_options, builtin=None, setup=None):
         config,
         click.option("--out", "out_dir", default="out", show_default=True,
                      type=click.Path(file_okay=False), help=helps[0]),
-        click.option("--grid", "grid_n", default=256, show_default=True,
+        click.option("--grid", default=256, show_default=True,
                      type=int, help=helps[1]),
         click.option("--quiet", is_flag=True, help=helps[2]),
         *extra_options,
     ]
 
     def register(body):
-        def command(config_path, out_dir, grid_n, quiet, **extra):
+        def command(config_path, out_dir, grid, quiet, **extra):
             try:
+                if grid < 32:
+                    raise ConfigError(f"--grid must be >= 32, got {grid}")
                 cfg = (_resolve_config(*builtin) if config_path is None
                        else load_config(config_path))
                 if setup is not None:
@@ -447,7 +449,7 @@ def _subcommand(name, *extra_options, builtin=None, setup=None):
                 out = Path(out_dir)
                 out.mkdir(parents=True, exist_ok=True)
                 _write_resolved(cfg, out)
-                code = body(cfg, out, grid_n, quiet, **extra)
+                code = body(cfg, out, grid, quiet, **extra)
             except ConfigError as exc:
                 click.echo(f"config error: {exc}", err=True)
                 code = EXIT_CONFIG
@@ -464,19 +466,20 @@ def _subcommand(name, *extra_options, builtin=None, setup=None):
 
 
 @_subcommand("check-cis")
-def cmd_check_cis(cfg, out, grid_n, quiet):
+def cmd_check_cis(cfg, out, grid, quiet):
     """Test the complete-interpolation-set property of the configured scheme."""
     psi = build_polyphase(cfg.gen, cfg.scheme)
-    lines = []
     if cfg.scheme.s is not None and cfg.scheme.rho >= cfg.gen.mu:
+        # det Psi = +-z^k det C: the one number settles the question
         det_c = cis_determinant(cfg.gen, cfg.scheme)
-        lines.append(f"det C = {det_c!r}")
+        min_abs = abs(det_c)
+        lines = [f"det C = {det_c!r}", "|det Psi| = |det C| on the whole circle"]
     else:
-        lines.append("det C = n/a (offsets span cells or rho < mu)")
-    min_abs, argmin = det_on_circle(psi, grid_n)
-    lines.append(f"min |det Psi| = {min_abs!r} at x = {argmin!r}")
+        min_abs, argmin = det_on_circle(psi, grid)
+        lines = ["det C = n/a (offsets span cells or rho < mu)",
+                 f"min |det Psi| = {min_abs!r} at x = {argmin!r}"]
     phi_min, phi_max = stability_bounds(cfg.gen)
-    A, B = frame_bounds(psi, phi_min, phi_max, grid_n)
+    A, B = frame_bounds(psi, phi_min, phi_max, grid)
     lines.append(f"frame bounds A = {A!r}, B = {B!r}")
     cis = min_abs > CIS_THRESHOLD
     lines.append(f"verdict: {'CIS' if cis else 'not a CIS'} of order "
@@ -488,12 +491,12 @@ def cmd_check_cis(cfg, out, grid_n, quiet):
 
 
 @_subcommand("kernels")
-def cmd_kernels(cfg, out, grid_n, quiet):
+def cmd_kernels(cfg, out, grid, quiet):
     """Build the interpolating kernels and write them with sampled curves."""
     ks = _build_kernel_set(cfg)
     save_kernels(ks, out / "kernels.json")
     lo, hi = ks.support
-    ts = np.linspace(lo, hi, grid_n)
+    ts = np.linspace(lo, hi, grid)
     header = ["t"]
     cols = [ts]
     for n in range(cfg.scheme.L):
@@ -515,7 +518,7 @@ def cmd_kernels(cfg, out, grid_n, quiet):
 
 
 @_subcommand("moments")
-def cmd_moments(cfg, out, grid_n, quiet):
+def cmd_moments(cfg, out, grid, quiet):
     """Report vanishing-moment defects and the reproduction order."""
     report = reproduction_order(_build_kernel_set(cfg), tol=_moment_tol(cfg.gen))
     rows = [[j, float(d),
@@ -532,7 +535,7 @@ def cmd_moments(cfg, out, grid_n, quiet):
                           type=click.Path(exists=True), default=None,
                           help="reload a serialized kernel set instead of "
                           "rebuilding it"))
-def cmd_predict(cfg, out, grid_n, quiet, kernels_path):
+def cmd_predict(cfg, out, grid, quiet, kernels_path):
     """Run the causal predictor over the configured W values."""
     if kernels_path is None:
         ks = _build_kernel_set(cfg)
@@ -555,7 +558,7 @@ def cmd_predict(cfg, out, grid_n, quiet, kernels_path):
     a, b = _default_interval(cfg.signal)
     errors = []
     for W in cfg.W_list:
-        ts = np.linspace(a, b, grid_n)
+        ts = np.linspace(a, b, grid)
         fs = np.asarray(cfg.signal.eval(ts), dtype=float)
         ps_vals = approx_operator(ps, cfg.signal, W, ts)
         write_csv(out / f"trace_W{W:g}.csv", ["t", "f", "prediction"],
@@ -570,7 +573,7 @@ def cmd_predict(cfg, out, grid_n, quiet, kernels_path):
 
 
 @_subcommand("convergence")
-def cmd_convergence(cfg, out, grid_n, quiet):
+def cmd_convergence(cfg, out, grid, quiet):
     """Fit the error decay rate over the configured W ladder."""
     ks = _build_kernel_set(cfg)
     kset = _require_prediction(cfg, ks) if cfg.epsilons is not None else ks
@@ -616,7 +619,7 @@ def _equally_spaced_family(cfg: RunConfig) -> RunConfig:
 
 
 @_subcommand("table1", builtin=_TABLE1_BUILTIN, setup=_equally_spaced_family)
-def cmd_table1(cfg, out, grid_n, quiet):
+def cmd_table1(cfg, out, grid, quiet):
     """Prediction errors over the W ladder for both offset families."""
     with (out / "resolved.cfg").open("a") as fh:
         fh.write("# the run covers the chebyshev offset family as well\n")

@@ -24,6 +24,8 @@ from math import ceil, comb, factorial, floor, sqrt
 
 import numpy as np
 
+from .polyphase import _N_CIRCLE, _circle_grid
+
 __all__ = [
     "Generator",
     "BSplineGenerator",
@@ -349,7 +351,7 @@ class TabulatedGenerator(Generator):
         self.values = values
         self.step = float(steps[0])
         self.mu = float(grid[-1])
-        self.regularity = int(regularity)
+        self.regularity = _integer_at_least(regularity, 0, "table regularity")
 
     def eval(self, t, s: int = 0):
         if not 0 <= s <= self.regularity:
@@ -380,15 +382,15 @@ class TabulatedGenerator(Generator):
 def generator_from_descriptor(desc: dict) -> Generator:
     kind = desc.get("kind")
     if kind == "bspline":
-        return BSplineGenerator(int(desc["order"]))
+        return BSplineGenerator(desc["order"])
     if kind == "daubechies":
         if "level" in desc:
-            return DaubechiesGenerator(int(desc["order"]), int(desc["level"]))
-        return DaubechiesGenerator(int(desc["order"]))
+            return DaubechiesGenerator(desc["order"], desc["level"])
+        return DaubechiesGenerator(desc["order"])
     if kind == "tabulated":
         values = np.asarray(desc["values"], dtype=float)
         grid = np.arange(len(values)) * float(desc["step"])
-        return TabulatedGenerator(grid, values, int(desc.get("regularity", 0)))
+        return TabulatedGenerator(grid, values, desc.get("regularity", 0))
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -466,13 +468,11 @@ def _autocorrelation(gen: Generator) -> np.ndarray:
     return out
 
 
-def stability_bounds(gen: Generator, grid_n: int = 256) -> tuple[float, float]:
-    """Extremes over w in [0, 1] of Phi(w) = sum_n |phihat(w + n)|^2, from the
-    finite cosine sum a(0) + 2 sum_k a(k) cos(2 pi k w) over the integer-lag
-    autocorrelation a."""
-    if grid_n < 64:
-        raise ValueError("grid_n must be >= 64")
-    w = np.linspace(0.0, 1.0, grid_n)
+def stability_bounds(gen: Generator) -> tuple[float, float]:
+    """Extremes of Phi(w) = sum_n |phihat(w + n)|^2 over the circle grid of
+    polyphase, which holds w = 0 and w = 1/2, from the finite cosine sum
+    a(0) + 2 sum_k a(k) cos(2 pi k w) over the integer-lag autocorrelation a."""
+    w = _circle_grid(_N_CIRCLE)
     corr = _autocorrelation(gen)
     phi = np.full_like(w, corr[0])
     for k in range(1, len(corr)):

@@ -29,7 +29,8 @@ from math import ceil, floor, fsum
 import numpy as np
 
 from .generators import _expand, generator_from_descriptor
-from .polyphase import CIS_THRESHOLD, LaurentMatrix, SamplingScheme
+from .polyphase import (_N_CIRCLE, CIS_THRESHOLD, LaurentMatrix, SamplingScheme,
+                        _circle_grid, det_on_circle)
 
 __all__ = [
     "SingularSamplePointError",
@@ -46,7 +47,7 @@ class SingularSamplePointError(RuntimeError):
     """det Psi vanished (or nearly) where the inversion evaluated it."""
 
 
-def invert_polyphase(psi: LaurentMatrix, n_fft: int = 64) -> LaurentMatrix:
+def invert_polyphase(psi: LaurentMatrix) -> LaurentMatrix:
     """Psi(x)^{-1} as a Laurent matrix.
 
     When no column q of Psi carries more than one power e_q (an exact
@@ -59,14 +60,11 @@ def invert_polyphase(psi: LaurentMatrix, n_fft: int = 64) -> LaurentMatrix:
     det M = 0).
 
     Otherwise the inverse is in general not a Laurent polynomial: Psi is
-    inverted at n_fft uniform x values and all n_fft Fourier coefficients
-    of the DFT across the grid are returned, so build_kernels rejects it.
-    Raises SingularSamplePointError when |det M|, or |det Psi| at a grid
-    point, is at most CIS_THRESHOLD.
+    inverted on the circle grid of det_on_circle and all the Fourier
+    coefficients of the DFT across the grid are returned, so build_kernels
+    rejects it.  Raises SingularSamplePointError when |det M|, or
+    det_on_circle's minimum, is at most CIS_THRESHOLD.
     """
-    n = int(n_fft)
-    if n < 4:
-        raise ValueError("n_fft must be >= 4")
     powers = np.array(psi.powers(), dtype=int)
     C = np.array([psi.coeffs[k] for k in powers]).reshape(-1, psi.dim, psi.dim)
     carried = C.any(axis=1)             # carried[k, q]: column q holds power k
@@ -81,14 +79,12 @@ def invert_polyphase(psi: LaurentMatrix, n_fft: int = 64) -> LaurentMatrix:
         inv = np.linalg.inv(M)
         return LaurentMatrix(psi.dim, {-k: np.where((e == k)[:, None], inv, 0.0)
                                        for k in sorted(set(e.tolist()))})
-    xs = np.arange(n) / n
-    samples = psi(xs)
-    dets = np.abs(np.linalg.det(samples))
-    j = int(np.argmin(dets))
-    if dets[j] <= CIS_THRESHOLD:
+    min_abs, argmin = det_on_circle(psi)
+    if min_abs <= CIS_THRESHOLD:
         raise SingularSamplePointError(
-            f"|det Psi({xs[j]})| = {dets[j]:.3e}, scheme is not a CIS")
-    spectrum = np.fft.fft(np.linalg.inv(samples), axis=0).real / n
+            f"|det Psi({argmin})| = {min_abs:.3e}, scheme is not a CIS")
+    n = _N_CIRCLE
+    spectrum = np.fft.fft(np.linalg.inv(psi(_circle_grid(n))), axis=0).real / n
     return LaurentMatrix(psi.dim, {(k if k <= n // 2 else k - n): spectrum[k]
                                    for k in range(n)})
 

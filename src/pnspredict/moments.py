@@ -23,6 +23,7 @@ import numpy as np
 from .kernels import _series_eval
 
 __all__ = ["MomentReport", "moment_defects", "reproduction_order"]
+_PROBE_MAX = 8      # the highest degree reproduction_order probes
 
 
 @dataclass(frozen=True)
@@ -100,27 +101,25 @@ def _monomial_cross_check(ks, degree: int) -> float:
     return float(np.abs(approx - exact).max()) / scale
 
 
-def reproduction_order(ks, tol: float = 1e-8, probe_max: int = 8) -> MomentReport:
+def reproduction_order(ks, tol: float = 1e-8) -> MomentReport:
     """Largest kappa with moment defects <= tol for every degree < kappa.
 
-    Probes degrees 0..probe_max; a clean sweep reports kappa = probe_max+1.
+    Probes degrees 0.._PROBE_MAX; a clean sweep reports kappa = _PROBE_MAX+1.
     The independent monomial check (reproducing t^j through the sampling
     operator itself) is reported alongside and a disagreement warns.
     """
-    if probe_max < 1:
-        raise ValueError("probe_max must be >= 1")
     lo, hi = ks.support
     width = hi - lo
     rho = ks.scheme.rho
     grid = np.linspace(-width, rho + width, 257)
-    defects = moment_defects(ks, probe_max, grid)
-    kappa = probe_max + 1
+    defects = moment_defects(ks, _PROBE_MAX, grid)
+    kappa = _PROBE_MAX + 1
     for j, d in enumerate(defects):
         if d > tol:
             kappa = j
             break
     cross = tuple(_monomial_cross_check(ks, j)
-                  for j in range(min(kappa, probe_max) + 1))
+                  for j in range(min(kappa, _PROBE_MAX) + 1))
     for j in range(kappa):
         if j < len(cross) and cross[j] > max(100.0 * tol, 1e-6):
             warnings.warn(

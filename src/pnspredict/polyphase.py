@@ -30,6 +30,7 @@ __all__ = [
 # |det| above this declares a complete interpolation set; see also the
 # near-singular warning band in cis_determinant.
 CIS_THRESHOLD = 1e-9
+_N_CIRCLE = 256     # points of the circle grid that every default reads
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def build_polyphase(gen, scheme: SamplingScheme) -> LaurentMatrix:
     d = scheme.row_derivs
     q = np.arange(rho)
     coeffs = {}
-    for k in range(ceil(1 + (gen.mu - 1) / rho) + 1):
+    for k in range(ceil(1 + (gen.mu - 1) / rho)):
         mat = np.zeros((rho, rho))
         for i in range(rho):
             mat[i] = gen.eval(t[i] + rho * k - q, int(d[i]))
@@ -205,7 +206,7 @@ def _circle_grid(n_grid: int) -> np.ndarray:
     return xs
 
 
-def det_on_circle(psi: LaurentMatrix, n_grid: int = 256):
+def det_on_circle(psi: LaurentMatrix, n_grid: int = _N_CIRCLE):
     """Minimum of |det Psi(x)| over a uniform circle grid that holds 0 and 1/2.
 
     Returns (min_abs, argmin_x).  This is the general CIS test for schemes
@@ -221,7 +222,7 @@ def det_on_circle(psi: LaurentMatrix, n_grid: int = 256):
 
 
 def frame_bounds(psi: LaurentMatrix, phi_min: float, phi_max: float,
-                 n_grid: int = 256):
+                 n_grid: int = _N_CIRCLE):
     """Sampling frame bounds (A, B) from the polyphase spectrum.
 
     A = min_x lambda_min(Psi* Psi) / phi_max and

@@ -113,6 +113,19 @@ def test_check_cis_rejects_split_cells(runner, tmp_path):
     assert "not a CIS of order 1" in res.output
 
 
+def test_check_cis_decides_one_cell_schemes_by_det_c(runner, tmp_path):
+    # rho = 4 > mu = 3 leaves C a zero column: det C = 0 is the verdict
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("generator.order = 3\nscheme.offset_mode = equally_spaced\n"
+                   "scheme.L = 4\n")
+    res = runner.invoke(main, ["check-cis", "--config", str(cfg),
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_NOT_CIS
+    assert res.output.splitlines()[1] == "|det Psi| = |det C| on the whole circle"
+    assert abs(float(res.output.splitlines()[0].split("=")[1])) <= 1e-12
+    assert "not a CIS of order 0" in res.output
+
+
 def test_rho_mismatch_is_a_config_error(runner, tmp_path):
     cfg = tmp_path / "badrho.cfg"
     cfg.write_text("generator.order = 4\nscheme.offset_mode = equally_spaced\n"
@@ -381,6 +394,9 @@ def test_shipped_configs_exit_as_documented(runner, tmp_path, name):
         res = runner.invoke(main, [sub, "--config", str(CONFIGS / f"{name}.cfg"),
                                    "--out", str(tmp_path / sub), "--quiet"])
         assert res.exit_code == want, res.output
+    # det C decides a one-cell scheme: no circle scan, so no argmin
+    text = (tmp_path / "check-cis" / "check_cis.txt").read_text()
+    assert ("at x =" in text) == name.endswith("split_cells"), text
 
 
 SHARED_HELP = [
@@ -416,7 +432,9 @@ def test_predict_maps_a_bad_kernel_file_to_exit_2(runner, quartic_cfg, tmp_path)
     doc = json.loads((out / "prediction.json").read_text())
     cases = [("epsilons", [1, 2, 3, 4],
               "eps0 = 1.0 < rho = 4: shifted kernels would not be causal"),
-             ("A", None, "missing entry 'A'")]
+             ("A", None, "missing entry 'A'"),
+             ("generator", {"kind": "bspline", "order": 4.5},
+              "B-spline order must be an integer >= 1, got 4.5")]
     for key, value, message in cases:
         bad = dict(doc)
         if value is None:
@@ -430,6 +448,17 @@ def test_predict_maps_a_bad_kernel_file_to_exit_2(runner, quartic_cfg, tmp_path)
                                    "--out", str(tmp_path / "q")])
         assert res.exit_code == EXIT_CONFIG
         assert f"config error: {path}: {message}" in res.output
+
+
+@pytest.mark.parametrize("sub", ["check-cis", "kernels", "moments", "predict",
+                                 "convergence", "table1"])
+def test_a_grid_below_32_is_a_config_error(runner, quartic_cfg, tmp_path, sub):
+    for grid in ("16", "-5"):
+        res = runner.invoke(main, [sub, "--config", str(quartic_cfg), "--out",
+                                   str(tmp_path / "o"), "--grid", grid])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert f"config error: --grid must be >= 32, got {grid}" in res.output
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name, code", [("quartic_hermite", EXIT_CONFIG),

@@ -236,14 +236,28 @@ def test_descriptor_without_level_uses_constructor_default(db3):
     assert generator_from_descriptor(desc).level == DaubechiesGenerator(3).level
 
 
+@pytest.mark.parametrize("desc", [
+    {"kind": "daubechies", "order": 3.7, "level": 12},
+    {"kind": "daubechies", "order": 3, "level": 12.9},
+    {"kind": "bspline", "order": 4.5},
+    {"kind": "bspline", "order": "4"},
+    {"kind": "tabulated", "step": 0.5, "values": [0.0, 1.0, 0.0], "regularity": -1},
+    {"kind": "tabulated", "step": 0.5, "values": [0.0, 1.0, 0.0], "regularity": 0.5},
+])
+def test_descriptor_refuses_what_is_not_a_whole_number(desc):
+    # int() used to truncate these to db3, level 12, Q4 and regularity 0
+    with pytest.raises(ValueError, match="must be an integer"):
+        generator_from_descriptor(desc)
+
+
 def test_stability_bounds_quadratic_spline():
-    lo, hi = stability_bounds(BSplineGenerator(2), grid_n=257)
+    lo, hi = stability_bounds(BSplineGenerator(2))
     assert lo == pytest.approx(1 / 3, abs=1e-9)
     assert hi == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stability_bounds_quartic_spline(q4):
-    lo, hi = stability_bounds(q4, grid_n=257)
+    lo, hi = stability_bounds(q4)
     assert lo == pytest.approx(17 / 315, abs=1e-9)
     assert hi == pytest.approx(1.0, abs=1e-12)
     assert 0.0 < lo <= hi
@@ -266,16 +280,15 @@ def test_stability_bounds_match_sinc_series(m):
     # |phihat(w)|^2 = sinc(w)^(2m); the cosine sum must agree to the series'
     # own truncation error
     phi = _sinc_series(m, np.linspace(0.0, 1.0, 257))
-    lo, hi = stability_bounds(BSplineGenerator(m), grid_n=257)
+    lo, hi = stability_bounds(BSplineGenerator(m))
     assert lo == pytest.approx(phi.min(), abs=1e-10)
     assert hi == pytest.approx(phi.max(), abs=1e-10)
 
 
 def test_stability_bounds_routes_agree(q3):
-    direct = stability_bounds(q3, grid_n=257)
+    direct = stability_bounds(q3)
     grid = np.linspace(0.0, 3.0, 6001)
-    tabulated = stability_bounds(TabulatedGenerator(grid, q3.eval(grid)),
-                                 grid_n=257)
+    tabulated = stability_bounds(TabulatedGenerator(grid, q3.eval(grid)))
     assert direct[0] == pytest.approx(tabulated[0], rel=1e-2)
     assert direct[1] == pytest.approx(tabulated[1], rel=1e-2)
 

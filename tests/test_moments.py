@@ -107,8 +107,3 @@ def test_report_formatting(kernels_quartic_r1):
     assert "kappa = 4" in text
     assert "degree" in text
     assert isinstance(rep, MomentReport)
-
-
-def test_reproduction_order_validation(kernels_quartic_r1):
-    with pytest.raises(ValueError):
-        reproduction_order(kernels_quartic_r1, probe_max=0)

@@ -163,6 +163,35 @@ def test_odd_circle_grid_samples_the_half_shift_zero(q4):
     assert A <= 1e-12
 
 
+class _CountingQ4(pp.BSplineGenerator):
+    def __init__(self):
+        super().__init__(4)
+        self.calls = 0
+
+    def eval(self, t, s=0):
+        self.calls += 1
+        return super().eval(t, s)
+
+
+@pytest.mark.parametrize("offsets, r, n_powers", [
+    ((0.0, 0.25, 0.5, 0.75), 1, 2),     # rho = mu = 4: k < 7/4
+    ((0.25, 0.75), 2, 2),
+    ((0.5, 2.5), 2, 2),                 # offsets in two cells
+    ((0.1, 0.3, 0.5, 0.7, 0.9), 1, 2),  # rho = 5 > mu
+    ((0.5,), 3, 2),                     # rho = 3: k < 2
+    ((0.5,), 2, 3),                     # rho = 2: k < 5/2
+    ((0.5,), 1, 4),                     # rho = 1: k < 4
+])
+def test_build_polyphase_evaluates_only_powers_below_its_bound(offsets, r, n_powers):
+    # phi^(p)(t + rho k - q) vanishes once rho k - rho + 1 >= mu, so the
+    # matrices stop at k < 1 + (mu - 1)/rho, one evaluation per row each
+    gen = _CountingQ4()
+    scheme = SamplingScheme(offsets, r)
+    psi = build_polyphase(gen, scheme)
+    assert gen.calls == n_powers * scheme.rho
+    assert psi.powers() == list(range(n_powers))
+
+
 def test_laurent_matrix_basics():
     ident = LaurentMatrix(2, {0: np.eye(2)})
     assert ident.powers() == [0]
