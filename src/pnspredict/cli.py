@@ -411,16 +411,18 @@ def main():
 def _subcommand(name, *extra_options, builtin=None, setup=None):
     """Register body(cfg, out, grid, quiet, **extra) as subcommand `name`.
 
-    The command refuses a --grid below 32 (det_on_circle's least), resolves
-    --config (else the `builtin` pair of config text and source name),
-    passes the RunConfig through `setup`, creates --out, writes resolved.cfg
-    there, runs the body and exits with its code.  ConfigError exits 2 and
-    SingularSamplePointError exits 3, each with its message on stderr.
+    The command refuses a --grid below 32, the fewest points it writes on a
+    `kernels` or `predict` curve (no other subcommand reads --grid),
+    resolves --config (else the `builtin` pair of config text and source
+    name), passes the RunConfig through `setup`, creates --out, writes
+    resolved.cfg there, runs the body and exits with its code.  ConfigError
+    exits 2 and SingularSamplePointError exits 3, each with its message on
+    stderr.
     """
     if builtin is None:
         config = click.option("--config", "config_path", required=True,
                               type=click.Path(), help="flat dotted-key config file")
-        helps = ("output directory", "grid resolution for circle/curve sampling",
+        helps = ("output directory", "points of the kernels and predict curves",
                  "suppress progress output")
     else:
         config = click.option("--config", "config_path", default=None,
@@ -475,11 +477,11 @@ def cmd_check_cis(cfg, out, grid, quiet):
         min_abs = abs(det_c)
         lines = [f"det C = {det_c!r}", "|det Psi| = |det C| on the whole circle"]
     else:
-        min_abs, argmin = det_on_circle(psi, grid)
+        min_abs, argmin = det_on_circle(psi)
         lines = ["det C = n/a (offsets span cells or rho < mu)",
                  f"min |det Psi| = {min_abs!r} at x = {argmin!r}"]
     phi_min, phi_max = stability_bounds(cfg.gen)
-    A, B = frame_bounds(psi, phi_min, phi_max, grid)
+    A, B = frame_bounds(psi, phi_min, phi_max)
     lines.append(f"frame bounds A = {A!r}, B = {B!r}")
     cis = min_abs > CIS_THRESHOLD
     lines.append(f"verdict: {'CIS' if cis else 'not a CIS'} of order "

@@ -24,7 +24,7 @@ from math import ceil, comb, factorial, floor, sqrt
 
 import numpy as np
 
-from .polyphase import _N_CIRCLE, _circle_grid
+from .polyphase import CIRCLE_GRID
 
 __all__ = [
     "Generator",
@@ -469,10 +469,10 @@ def _autocorrelation(gen: Generator) -> np.ndarray:
 
 
 def stability_bounds(gen: Generator) -> tuple[float, float]:
-    """Extremes of Phi(w) = sum_n |phihat(w + n)|^2 over the circle grid of
+    """Extremes of Phi(w) = sum_n |phihat(w + n)|^2 over CIRCLE_GRID of
     polyphase, which holds w = 0 and w = 1/2, from the finite cosine sum
     a(0) + 2 sum_k a(k) cos(2 pi k w) over the integer-lag autocorrelation a."""
-    w = _circle_grid(_N_CIRCLE)
+    w = CIRCLE_GRID
     corr = _autocorrelation(gen)
     phi = np.full_like(w, corr[0])
     for k in range(1, len(corr)):

@@ -29,8 +29,7 @@ from math import ceil, floor, fsum
 import numpy as np
 
 from .generators import _expand, generator_from_descriptor
-from .polyphase import (_N_CIRCLE, CIS_THRESHOLD, LaurentMatrix, SamplingScheme,
-                        _circle_grid, det_on_circle)
+from .polyphase import CIS_THRESHOLD, LaurentMatrix, SamplingScheme, det_on_circle
 
 __all__ = [
     "SingularSamplePointError",
@@ -47,8 +46,8 @@ class SingularSamplePointError(RuntimeError):
     """det Psi vanished (or nearly) where the inversion evaluated it."""
 
 
-def invert_polyphase(psi: LaurentMatrix) -> LaurentMatrix:
-    """Psi(x)^{-1} as a Laurent matrix.
+def invert_polyphase(psi: LaurentMatrix) -> LaurentMatrix | None:
+    """Psi(x)^{-1} as a Laurent matrix, or None when it is not one.
 
     When no column q of Psi carries more than one power e_q (an exact
     zero test), Psi(z) = M diag(z^{e_q}) with M = Psi(0) = sum_k C_k, so
@@ -59,11 +58,10 @@ def invert_polyphase(psi: LaurentMatrix) -> LaurentMatrix:
     powers of a CIS are then {-1, 0} (rho > mu leaves a zero column, so
     det M = 0).
 
-    Otherwise the inverse is in general not a Laurent polynomial: Psi is
-    inverted on the circle grid of det_on_circle and all the Fourier
-    coefficients of the DFT across the grid are returned, so build_kernels
-    rejects it.  Raises SingularSamplePointError when |det M|, or
-    det_on_circle's minimum, is at most CIS_THRESHOLD.
+    Otherwise det Psi is not a monomial, so det Psi^{-1} = 1/det Psi is not
+    a Laurent polynomial and neither is Psi^{-1}: None is returned, which
+    build_kernels refuses.  Raises SingularSamplePointError when |det M|,
+    or det_on_circle's minimum, is at most CIS_THRESHOLD.
     """
     powers = np.array(psi.powers(), dtype=int)
     C = np.array([psi.coeffs[k] for k in powers]).reshape(-1, psi.dim, psi.dim)
@@ -83,10 +81,7 @@ def invert_polyphase(psi: LaurentMatrix) -> LaurentMatrix:
     if min_abs <= CIS_THRESHOLD:
         raise SingularSamplePointError(
             f"|det Psi({argmin})| = {min_abs:.3e}, scheme is not a CIS")
-    n = _N_CIRCLE
-    spectrum = np.fft.fft(np.linalg.inv(psi(_circle_grid(n))), axis=0).real / n
-    return LaurentMatrix(psi.dim, {(k if k <= n // 2 else k - n): spectrum[k]
-                                   for k in range(n)})
+    return None
 
 
 # Nodes and weights of the unshifted, two-sided kernels.
@@ -242,8 +237,13 @@ def _series_eval(ks, source, W: float, t):
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def build_kernels(gen, scheme: SamplingScheme, inv: LaurentMatrix) -> KernelSet:
-    """Assemble the kernel set from the inverse polyphase coefficients."""
+def build_kernels(gen, scheme: SamplingScheme,
+                  inv: LaurentMatrix | None) -> KernelSet:
+    """Assemble the kernel set from the inverse polyphase coefficients; None
+    (no Laurent inverse) and powers outside {-1, 0} are refused."""
+    if inv is None:
+        raise ValueError("det Psi is not a monomial, so Psi has no Laurent "
+                         "inverse; kernels would not be compactly supported")
     stray = [k for k in inv.powers() if k not in (-1, 0)]
     if stray:
         raise ValueError(f"inverse has coefficients at {len(stray)} powers "

@@ -30,7 +30,11 @@ __all__ = [
 # |det| above this declares a complete interpolation set; see also the
 # near-singular warning band in cis_determinant.
 CIS_THRESHOLD = 1e-9
-_N_CIRCLE = 256     # points of the circle grid that every default reads
+# The one grid on the circle, x = k/256.  The generators are real, so
+# det Psi(-x) = conj(det Psi(x)) is real at x = 0 and x = 1/2; those are the
+# two points where its zeros generically lie (the half-shifted even-order
+# B-splines vanish at 1/2), and the grid holds both.
+CIRCLE_GRID = np.arange(256) / 256
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,8 @@ def cis_determinant(gen, scheme: SamplingScheme) -> float:
     """Determinant whose nonvanishing makes the scheme a CIS of order r-1.
 
     Valid when rho >= mu and all offsets share one cell [s, s+1); then
-    det Psi(x) = (-1)^(rho-1) z^(rho-s-1) times this value, so the single
-    number settles the CIS question.
+    det Psi(x) = (-1)^((s+1)(rho-1)) z^(rho-s-1) times this value, so the
+    single number settles the CIS question.
     """
     rho = scheme.rho
     if rho < gen.mu:
@@ -193,45 +197,28 @@ def cis_determinant(gen, scheme: SamplingScheme) -> float:
     return det
 
 
-def _circle_grid(n_grid: int) -> np.ndarray:
-    """Uniform grid k/n_grid on [0, 1), with x = 1/2 added when n_grid is odd.
-
-    The generators are real, so det Psi(-x) = conj(det Psi(x)) and det Psi is
-    real at x = 0 and x = 1/2; those are the two points where its zeros
-    generically lie (the half-shifted even-order B-splines vanish at 1/2).
-    """
-    xs = np.arange(n_grid) / n_grid
-    if n_grid % 2:
-        xs = np.insert(xs, n_grid // 2 + 1, 0.5)
-    return xs
-
-
-def det_on_circle(psi: LaurentMatrix, n_grid: int = _N_CIRCLE):
-    """Minimum of |det Psi(x)| over a uniform circle grid that holds 0 and 1/2.
+def det_on_circle(psi: LaurentMatrix):
+    """Minimum of |det Psi(x)| over CIRCLE_GRID, which holds 0 and 1/2.
 
     Returns (min_abs, argmin_x).  This is the general CIS test for schemes
     whose determinant is not reduced to a single monomial.
     """
-    if n_grid < 32:
-        raise ValueError("n_grid must be >= 32")
-    xs = _circle_grid(n_grid)
-    dets = np.linalg.det(psi(xs))
+    dets = np.linalg.det(psi(CIRCLE_GRID))
     vals = np.hypot(dets.real, dets.imag)   # rounds as abs() of a complex does
     idx = int(np.argmin(vals))
-    return float(vals[idx]), float(xs[idx])
+    return float(vals[idx]), float(CIRCLE_GRID[idx])
 
 
-def frame_bounds(psi: LaurentMatrix, phi_min: float, phi_max: float,
-                 n_grid: int = _N_CIRCLE):
+def frame_bounds(psi: LaurentMatrix, phi_min: float, phi_max: float):
     """Sampling frame bounds (A, B) from the polyphase spectrum.
 
     A = min_x lambda_min(Psi* Psi) / phi_max and
     B = max_x lambda_max(Psi* Psi) / phi_min, so A > 0 exactly when the
-    determinant stays away from zero on the grid (the det_on_circle grid).
+    determinant stays away from zero on CIRCLE_GRID.
     """
     if phi_min <= 0:
         raise ValueError("phi_min must be positive")
-    m = psi(_circle_grid(n_grid))
+    m = psi(CIRCLE_GRID)
     ev = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)
     lo, hi = ev[:, 0].min(), ev[:, -1].max()
     return float(max(lo, 0.0) / phi_max), float(hi / phi_min)

@@ -382,6 +382,11 @@ SHIPPED_EXITS = {
     "quartic_hermite": (EXIT_OK, EXIT_OK),
     "db3_r1": (EXIT_OK, EXIT_OK),
 }
+# the one stderr line of each refusal; every other run writes no stderr
+KERNELS_REFUSALS = {
+    "cubic_split_cells": "not a complete interpolation set: |det Psi(0.0)|",
+    "quartic_split_cells": "kernels would not be compactly supported",
+}
 
 
 def test_shipped_configs_are_all_covered():
@@ -394,6 +399,12 @@ def test_shipped_configs_exit_as_documented(runner, tmp_path, name):
         res = runner.invoke(main, [sub, "--config", str(CONFIGS / f"{name}.cfg"),
                                    "--out", str(tmp_path / sub), "--quiet"])
         assert res.exit_code == want, res.output
+        reason = KERNELS_REFUSALS.get(name) if sub == "kernels" else None
+        if reason is None:
+            assert res.stderr == "", res.stderr
+        else:
+            [line] = res.stderr.splitlines()
+            assert reason in line, line
     # det C decides a one-cell scheme: no circle scan, so no argmin
     text = (tmp_path / "check-cis" / "check_cis.txt").read_text()
     assert ("at x =" in text) == name.endswith("split_cells"), text
@@ -402,7 +413,7 @@ def test_shipped_configs_exit_as_documented(runner, tmp_path, name):
 SHARED_HELP = [
     ("--config PATH", "flat dotted-key config file  [required]"),
     ("--out DIRECTORY", "output directory  [default: out]"),
-    ("--grid INTEGER", "grid resolution for circle/curve sampling  [default: 256]"),
+    ("--grid INTEGER", "points of the kernels and predict curves  [default: 256]"),
     ("--quiet", "suppress progress output"),
 ]
 TABLE1_HELP = [

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pnspredict as pp
+from pnspredict.cli import load_config
 from pnspredict.kernels import (SingularSamplePointError, build_kernels,
                                 invert_polyphase, load_kernels, reconstruct,
                                 save_kernels)
@@ -104,27 +107,55 @@ def test_invert_rejects_singular_scheme(q3, scheme_cubic_split):
 
 
 def test_build_kernels_rejects_stray_powers(q4, scheme_quartic_r1):
-    # a non-monomial determinant yields an inverse with many powers
-    from pnspredict.polyphase import LaurentMatrix
-    shifted = LaurentMatrix(1, {0: [[1.0]], 1: [[0.5]]})
-    inv = invert_polyphase(shifted)
-    assert len(inv.powers()) > 2
-    with pytest.raises(ValueError):
-        build_kernels(q4, pp.SamplingScheme((0.5,), 1), inv)
+    # an inverse with a power outside {-1, 0} gives kernels of wider support
+    inv = pp.LaurentMatrix(4, {0: np.eye(4), 1: np.eye(4)})
+    with pytest.raises(ValueError, match=r"outside \{-1, 0\}, from 1 to 1"):
+        build_kernels(q4, scheme_quartic_r1, inv)
 
 
 def test_quartic_split_inverse_is_not_compact(q4, scheme_cubic_split):
-    # offsets (1/2, 5/2) keep Q4 a CIS, but the determinant is not a
-    # monomial, so the inverse carries powers beyond {-1, 0} and the
-    # kernel construction refuses it
+    # offsets (1/2, 5/2) keep Q4 a CIS, but det Psi is not a monomial, so
+    # Psi has no Laurent inverse and the kernel construction refuses it
     psi = pp.build_polyphase(q4, scheme_cubic_split)
     inv = invert_polyphase(psi)
-    # one Fourier coefficient per point of the circle grid of det_on_circle
-    assert len(inv.powers()) == 256
-    for x in (0.0, 0.4):
-        assert np.abs(psi(x) @ inv(x) - np.eye(4)).max() < 1e-9
+    assert inv is None
     with pytest.raises(ValueError, match="compactly supported"):
         build_kernels(q4, scheme_cubic_split, inv)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+INVERSE_OUTCOMES = {"cubic_split_cells": "singular", "quartic_split_cells": "none",
+                    "quartic_r1": "laurent", "quartic_r1_chebyshev": "laurent",
+                    "quartic_hermite": "laurent", "db3_r1": "laurent"}
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_OUTCOMES))
+def test_invert_polyphase_returns_an_inverse_none_or_singular(name):
+    # the only exception invert_polyphase raises is SingularSamplePointError
+    assert {p.stem for p in CONFIGS.glob("*.cfg")} == set(INVERSE_OUTCOMES)
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    psi = pp.build_polyphase(cfg.gen, cfg.scheme)
+    assert inverse_outcome(psi) == INVERSE_OUTCOMES[name]
+
+
+def test_invert_polyphase_contract_when_rho_is_below_mu(q4, db3):
+    # rho < mu: more than one power in some column of Psi
+    db3_two = pp.build_polyphase(db3, pp.SamplingScheme((0.0, 0.5), 1))
+    assert inverse_outcome(db3_two) == "none"
+    # Q4 with the one offset 1/2 and r = 3: det Psi(1/2) = 0
+    q4_half = pp.build_polyphase(q4, pp.SamplingScheme((0.5,), 3))
+    assert inverse_outcome(q4_half) == "singular"
+
+
+def inverse_outcome(psi) -> str:
+    try:
+        inv = invert_polyphase(psi)
+    except SingularSamplePointError:
+        return "singular"
+    if inv is None:
+        return "none"
+    assert isinstance(inv, pp.LaurentMatrix)
+    return "laurent"
 
 
 def test_kernel_combinations_quartic_r1(kernels_quartic_r1):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pnspredict as pp
-from pnspredict.polyphase import (CIS_THRESHOLD, LaurentMatrix, SamplingScheme,
-                                  build_polyphase, cis_determinant,
-                                  det_on_circle, frame_bounds, zak_transform)
+from pnspredict.polyphase import (LaurentMatrix, SamplingScheme, build_polyphase,
+                                  cis_determinant, det_on_circle, frame_bounds,
+                                  zak_transform)
 
 # printed polyphase matrix for Q4 with offsets (0, 1/4, 1/2, 3/4), r = 1:
 # constant part and z part, row by row
@@ -105,11 +105,30 @@ def test_polyphase_needs_regular_generator(q3):
 def test_cis_determinant_quartic_r1(q4, scheme_quartic_r1):
     det_c = cis_determinant(q4, scheme_quartic_r1)
     assert det_c == pytest.approx(1 / 4096, rel=1e-9)
-    # det Psi(x) = (-1)^(rho-1) z^(rho-s-1) det C
+    # det Psi(x) = (-1)^((s+1)(rho-1)) z^(rho-s-1) det C with s = 0, rho = 4
     psi = build_polyphase(q4, scheme_quartic_r1)
     for x in (0.0, 0.3, 0.71):
         z = np.exp(2j * np.pi * x)
         assert psi.det(x) == pytest.approx(-z ** 3 * det_c, abs=1e-12)
+
+
+@pytest.mark.parametrize("order, offsets, r", [
+    (4, (1.0, 1.25, 1.5, 1.75), 1),     # even rho: det Psi(0) = +det C
+    (4, (1.5, 1.75), 2),                # even rho, with derivatives
+    (3, (1.2, 1.5, 1.8), 1),            # odd rho
+])
+def test_cis_determinant_sign_in_cell_one(order, offsets, r):
+    # det Psi(x) = (-1)^((s+1)(rho-1)) z^(rho-s-1) det C with s = 1: the
+    # sign is + for every rho, where (-1)^(rho-1) would flip it for even rho
+    gen = pp.BSplineGenerator(order)
+    scheme = SamplingScheme(offsets, r)
+    assert scheme.s == 1
+    det_c = cis_determinant(gen, scheme)
+    psi = build_polyphase(gen, scheme)
+    for x in (0.0, 0.3, 0.71):
+        z = np.exp(2j * np.pi * x)
+        assert psi.det(x) == pytest.approx(z ** (scheme.rho - 2) * det_c,
+                                           abs=1e-12 * abs(det_c))
 
 
 def test_cis_determinant_rejects_wide_or_split(db3, q3, scheme_cubic_split):
@@ -123,8 +142,6 @@ def test_det_on_circle_quartic_r1(q4, scheme_quartic_r1):
     psi = build_polyphase(q4, scheme_quartic_r1)
     min_abs, _ = det_on_circle(psi)
     assert min_abs == pytest.approx(1 / 4096, rel=1e-9)
-    with pytest.raises(ValueError):
-        det_on_circle(psi, 16)
 
 
 def test_det_on_circle_cubic_split(q3, scheme_cubic_split):
@@ -149,18 +166,6 @@ def test_det_on_circle_quartic_split(q4, scheme_cubic_split):
         z = np.exp(2j * np.pi * x)
         expected = -z * (9 * z ** 2 - 1426 * z + 9) / 4096
         assert psi.det(x) == pytest.approx(expected, abs=1e-12)
-
-
-def test_odd_circle_grid_samples_the_half_shift_zero(q4):
-    # Q4 with the one offset 1/2 and r = 3: det Psi(1/2) = 0 by the symmetry
-    # Q4(4 - t) = Q4(t); an odd grid k/33 alone never lands on x = 1/2
-    psi = build_polyphase(q4, SamplingScheme((0.5,), 3))
-    min_abs, argmin = det_on_circle(psi, 33)
-    assert min_abs <= CIS_THRESHOLD
-    assert argmin == 0.5
-    phi_min, phi_max = pp.stability_bounds(q4)
-    A, _ = frame_bounds(psi, phi_min, phi_max, 33)
-    assert A <= 1e-12
 
 
 class _CountingQ4(pp.BSplineGenerator):
@@ -217,19 +222,16 @@ def test_laurent_matrix_on_an_array_matches_pointwise(q4, scheme_hermite):
 def test_circle_scans_match_the_pointwise_loop(q4, scheme_hermite,
                                                scheme_quartic_cheb):
     phi_min, phi_max = pp.stability_bounds(q4)
+    xs = np.arange(256) / 256
     for scheme in (scheme_hermite, scheme_quartic_cheb):
         psi = build_polyphase(q4, scheme)
-        for n_grid in (33, 256):
-            xs = np.arange(n_grid) / n_grid
-            if n_grid % 2:
-                xs = np.sort(np.append(xs, 0.5))
-            vals = [abs(psi.det(x)) for x in xs]
-            j = int(np.argmin(vals))
-            assert det_on_circle(psi, n_grid) == (vals[j], xs[j])
-            ev = [np.linalg.eigvalsh(psi(x).conj().T @ psi(x)) for x in xs]
-            A, B = frame_bounds(psi, phi_min, phi_max, n_grid)
-            assert A == pytest.approx(min(e[0] for e in ev) / phi_max, rel=1e-12)
-            assert B == pytest.approx(max(e[-1] for e in ev) / phi_min, rel=1e-12)
+        vals = [abs(psi.det(x)) for x in xs]
+        j = int(np.argmin(vals))
+        assert det_on_circle(psi) == (vals[j], xs[j])
+        ev = [np.linalg.eigvalsh(psi(x).conj().T @ psi(x)) for x in xs]
+        A, B = frame_bounds(psi, phi_min, phi_max)
+        assert A == pytest.approx(min(e[0] for e in ev) / phi_max, rel=1e-12)
+        assert B == pytest.approx(max(e[-1] for e in ev) / phi_min, rel=1e-12)
 
 
 def test_frame_bounds_identity():
@@ -246,12 +248,15 @@ def test_frame_bounds_quartic_r1(q4, scheme_quartic_r1):
     assert 0.0 < A <= B
 
 
-def test_frame_bounds_collapse_for_singular_scheme(q3, scheme_cubic_split):
-    psi = build_polyphase(q3, scheme_cubic_split)
-    phi_min, phi_max = pp.stability_bounds(q3)
-    A, B = frame_bounds(psi, phi_min, phi_max)
-    assert A <= 1e-12
-    assert B > 0.0
+def test_frame_bounds_collapse_for_singular_scheme(q3, q4, scheme_cubic_split):
+    # zeros of det Psi at x = 0 (Q3, split cells) and at x = 1/2 (Q4 with
+    # the one offset 1/2 and r = 3, by the symmetry Q4(4 - t) = Q4(t))
+    for gen, scheme in ((q3, scheme_cubic_split), (q4, SamplingScheme((0.5,), 3))):
+        psi = build_polyphase(gen, scheme)
+        phi_min, phi_max = pp.stability_bounds(gen)
+        A, B = frame_bounds(psi, phi_min, phi_max)
+        assert A <= 1e-12
+        assert B > 0.0
 
 
 @settings(max_examples=20, deadline=None)
