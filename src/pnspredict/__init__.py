@@ -14,7 +14,6 @@ from .generators import (
     BSplineGenerator,
     DaubechiesGenerator,
     Generator,
-    TabulatedGenerator,
     generator_from_descriptor,
     stability_bounds,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "MomentReport",
     "SamplingScheme",
     "SingularSamplePointError",
-    "TabulatedGenerator",
     "TestSignal",
     "approx_operator",
     "build_kernels",

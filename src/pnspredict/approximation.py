@@ -132,7 +132,14 @@ def _lp_once(kset, signal, W, p, a, b, panels, coarse=None):
         odd, diff = diff, np.empty(len(ts))
         diff[::2] = coarse
         diff[1::2] = odd
-    return _simpson(diff ** p, ts[1] - ts[0]) ** (1.0 / p), diff
+    norm = _simpson(diff ** p, ts[1] - ts[0]) ** (1.0 / p)
+    if not isfinite(norm):
+        # nan > _NOISE_FLOOR is False: a NaN would pass for an exact result
+        bad = np.flatnonzero(~np.isfinite(diff))
+        where = (f": S_W f - f is {diff[bad[0]]:g} at t = {ts[bad[0]]:g}"
+                 if bad.size else "")
+        raise ValueError(f"lp_error at W = {W:g} is not finite{where}")
+    return norm, diff
 
 
 def lp_error(kset, signal: TestSignal, W: float, p: float = 2.0,

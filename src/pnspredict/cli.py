@@ -203,6 +203,11 @@ def _signal_from_file(path: str) -> TestSignal:
         ts, vs = rows[:, 0], rows[:, 1]
     except (OSError, ValueError, IndexError) as exc:
         raise ConfigError(f"cannot read signal.file {path}: {exc}")
+    bad = np.flatnonzero(~(np.isfinite(ts) & np.isfinite(vs)))
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigError(f"signal.file {path} holds a value that is not finite "
+                          f"in data row {i + 1}: t = {ts[i]:g}, f = {vs[i]:g}")
     # np.interp reads a t column that is not increasing without a word
     down = np.flatnonzero(~(ts[1:] > ts[:-1]))
     if down.size:

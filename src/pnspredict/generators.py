@@ -1,17 +1,14 @@
 """Generators for shift-invariant spaces.
 
 A generator phi is a compactly supported function on [0, mu] whose integer
-shifts span the space V(phi).  Three kinds are provided: cardinal B-splines
-Q_m (exact piece polynomials), Daubechies scaling functions (dyadic
-refinement table), and user-supplied tabulated functions (linear
-interpolation).
+shifts span the space V(phi).  Two kinds are provided: cardinal B-splines
+Q_m (exact piece polynomials) and Daubechies scaling functions (dyadic
+refinement table).
 
 Each generator reads phi one unit piece at a time: `piece(q, u, s)` is
-phi^(s)(q + u) for an integer q and u in [0, 1].  B-splines and Daubechies
-functions define only `piece`, and `Generator.eval` reads every point
-through it; tabulated generators interpolate in `eval`, whose step is
-arbitrary, and read their pieces through it.  `_expand` builds on the
-pieces to evaluate a coefficient sequence against weighted nodes,
+phi^(s)(q + u) for an integer q and u in [0, 1].  Generators define only
+`piece`, and `Generator.eval` reads every point through it.  `_expand`
+builds on the pieces to evaluate a coefficient sequence against weighted nodes,
 sum_m c_m sum_p w_p phi(x - eps_p - start - m), in one pass per class of
 nodes that share a fractional part.  Everything is float64.
 """
@@ -30,7 +27,6 @@ __all__ = [
     "Generator",
     "BSplineGenerator",
     "DaubechiesGenerator",
-    "TabulatedGenerator",
     "daubechies_taps",
     "stability_bounds",
     "generator_from_descriptor",
@@ -316,67 +312,11 @@ class DaubechiesGenerator(Generator):
         lo = self._values[idx]
         return lo + (self._values[idx + 1] - lo) * frac
 
-    def table_value(self, k: int) -> float:
-        """phi at the integer k, straight from the refinement fixed point."""
-        if not 0 <= k <= self.mu:
-            return 0.0
-        return float(self._values[int(k * 2 ** self.level)])
-
     def descriptor(self) -> dict:
         return {"kind": "daubechies", "order": self.d, "level": self.level}
 
     def __repr__(self):
         return f"DaubechiesGenerator(d={self.d}, level={self.level})"
-
-
-class TabulatedGenerator(Generator):
-    """Generator given by values on a uniform grid, linearly interpolated.
-
-    Derivatives come from centered differences of the table.
-    """
-
-    kind = "tabulated"
-
-    def __init__(self, grid: np.ndarray, values: np.ndarray, regularity: int = 0):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 3:
-            raise ValueError("grid and values must be matching 1-d arrays")
-        steps = np.diff(grid)
-        if steps.min() <= 0 or np.ptp(steps) > 1e-12 * steps[0]:
-            raise ValueError("grid must be uniform and increasing")
-        if abs(grid[0]) > 1e-12:
-            raise ValueError("support must start at 0")
-        self.grid = grid
-        self.values = values
-        self.step = float(steps[0])
-        self.mu = float(grid[-1])
-        self.regularity = _integer_at_least(regularity, 0, "table regularity")
-
-    def eval(self, t, s: int = 0):
-        if not 0 <= s <= self.regularity:
-            raise ValueError(f"derivative order {s} above table regularity")
-        arr = np.asarray(t, dtype=float)
-        vals = self.values
-        for _ in range(s):
-            vals = np.gradient(vals, self.step)
-        out = np.interp(arr, self.grid, vals, left=0.0, right=0.0)
-        out = np.where((arr <= 0.0) | (arr >= self.mu), 0.0, out)
-        return float(out) if arr.ndim == 0 else out
-
-    def piece(self, q, u, s: int = 0) -> np.ndarray:
-        return self.eval(u + q, s)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "tabulated",
-            "step": self.step,
-            "values": [float(v) for v in self.values],
-            "regularity": self.regularity,
-        }
-
-    def __repr__(self):
-        return f"TabulatedGenerator(mu={self.mu}, n={len(self.grid)})"
 
 
 def generator_from_descriptor(desc: dict) -> Generator:
@@ -387,10 +327,6 @@ def generator_from_descriptor(desc: dict) -> Generator:
         if "level" in desc:
             return DaubechiesGenerator(desc["order"], desc["level"])
         return DaubechiesGenerator(desc["order"])
-    if kind == "tabulated":
-        values = np.asarray(desc["values"], dtype=float)
-        grid = np.arange(len(values)) * float(desc["step"])
-        return TabulatedGenerator(grid, values, desc.get("regularity", 0))
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -444,8 +380,7 @@ def _autocorrelation(gen: Generator) -> np.ndarray:
 
     B-splines: a(k) = Q_2m(m + k), since Q_m * Q_m(-.) = Q_2m(. + m).
     Daubechies: a(k) = sum_m c_m a(2k - m) with c the taps' autocorrelation
-    (Lawton 1991).  Tabulated: exact for the piecewise-linear model, on whose
-    cells the product of two linear pieces integrates in closed form.
+    (Lawton 1991).
     """
     if isinstance(gen, BSplineGenerator):
         return BSplineGenerator(2 * gen.m).eval(gen.m + np.arange(gen.m, dtype=float))
@@ -453,19 +388,7 @@ def _autocorrelation(gen: Generator) -> np.ndarray:
         n = len(gen.taps) - 1
         return _refinement_fixed_point(np.correlate(gen.taps, gen.taps, "full"),
                                        -n, 1 - n, n)[n - 1:]
-    if not isinstance(gen, TabulatedGenerator):
-        raise TypeError(f"no autocorrelation for {type(gen).__name__}")
-    step, vals = gen.step, gen.values
-    n_lags = int(np.ceil(gen.mu))
-    grid = np.arange(len(vals)) * step
-    out = np.zeros(n_lags)
-    for k in range(n_lags):
-        shifted = np.interp(grid - k, grid, vals, left=0.0, right=0.0)
-        a, b = vals[:-1], vals[1:]
-        c, d = shifted[:-1], shifted[1:]
-        # integral of ((1-u) a + u b)((1-u) c + u d) over a cell of width `step`
-        out[k] = step * np.sum(a * c / 3.0 + (a * d + b * c) / 6.0 + b * d / 3.0)
-    return out
+    raise TypeError(f"no autocorrelation for {type(gen).__name__}")
 
 
 def stability_bounds(gen: Generator) -> tuple[float, float]:

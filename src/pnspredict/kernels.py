@@ -284,7 +284,7 @@ def kernels_from_doc(doc: dict) -> KernelSet:
     """Inverse of kernel_doc; nodes read from the document are checked as
     for any shifted set."""
     gen = generator_from_descriptor(doc["generator"])
-    scheme = SamplingScheme(tuple(doc["scheme"]["offsets"]), int(doc["scheme"]["r"]))
+    scheme = SamplingScheme(tuple(doc["scheme"]["offsets"]), doc["scheme"]["r"])
     return KernelSet(gen, scheme, np.array(doc["A"]), np.array(doc["B"]),
                      doc.get("epsilons", _TWO_SIDED[0]),
                      doc.get("weights", _TWO_SIDED[1]))

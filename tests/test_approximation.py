@@ -128,6 +128,26 @@ def test_lp_error_converged_refinement_is_silent(kernels_quartic_r1):
         lp_error(kernels_quartic_r1, one, 8.0)
 
 
+def _holed(t):
+    # the smooth f with NaN on [1, 1.1)
+    t = np.asarray(t, dtype=float)
+    return np.where((t >= 1.0) & (t < 1.1), np.nan, builtin_signal("f").eval(t))
+
+
+@pytest.mark.parametrize("quad_n", (None, 4000))
+def test_lp_error_refuses_a_norm_that_is_not_finite(pred_quartic_r1, quad_n):
+    # nan > the noise floor is False: the NaN used to come back silently,
+    # and convergence_study reported it as the noise floor
+    holed = TestSignal("holed", (_holed,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^lp_error at W = 8 is not finite: "
+                           r"S_W f - f is nan at t = ") as exc:
+            lp_error(pred_quartic_r1, holed, 8.0, quad_n=quad_n)
+    # the predictor reads only past samples, so the first NaN is f's own
+    assert 1.0 <= float(str(exc.value).rsplit("= ", 1)[1]) < 1.01
+
+
 def _recording(monkeypatch, name):
     """Replace approximation.<name> by a wrapper that logs its arguments."""
     calls, inner = [], getattr(approximation, name)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import pnspredict
 from pnspredict.cli import (_KEYS, DEFAULT_W, EXIT_CONFIG, EXIT_NOT_CIS,
                             EXIT_OK, ConfigError, load_config, main,
                             parse_config_text, write_csv)
@@ -445,7 +446,14 @@ def test_predict_maps_a_bad_kernel_file_to_exit_2(runner, quartic_cfg, tmp_path)
               "eps0 = 1.0 < rho = 4: shifted kernels would not be causal"),
              ("A", None, "missing entry 'A'"),
              ("generator", {"kind": "bspline", "order": 4.5},
-              "B-spline order must be an integer >= 1, got 4.5")]
+              "B-spline order must be an integer >= 1, got 4.5"),
+             ("generator", {"kind": "tabulated", "step": 0.5, "values": [0.0, 1.0]},
+              "unknown generator kind 'tabulated'"),
+             # int() used to truncate r to 1 and read "1" as 1
+             ("scheme", {**doc["scheme"], "r": 1.9},
+              "derivative count must be a positive integer, got 1.9"),
+             ("scheme", {**doc["scheme"], "r": "1"},
+              "derivative count must be a positive integer, got '1'")]
     for key, value, message in cases:
         bad = dict(doc)
         if value is None:
@@ -458,7 +466,7 @@ def test_predict_maps_a_bad_kernel_file_to_exit_2(runner, quartic_cfg, tmp_path)
                                    "--kernels", str(path),
                                    "--out", str(tmp_path / "q")])
         assert res.exit_code == EXIT_CONFIG
-        assert f"config error: {path}: {message}" in res.output
+        assert res.stderr == f"config error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("sub", ["check-cis", "kernels", "moments", "predict",
@@ -554,6 +562,13 @@ CONFIG_ERRORS = {
     "unsorted_signal_file": ("check-cis", _MODE + "signal.file = {tmp}/unsorted.csv\n",
                              4, "the t column of signal.file {tmp}/unsorted.csv is "
                              "not strictly increasing: 1 then 0"),
+    # a NaN used to run through to errors of nan, exit 0, "noise floor"
+    "nan_in_signal_file": ("convergence", _MODE + "signal.file = {tmp}/nan.csv\n", 4,
+                           "signal.file {tmp}/nan.csv holds a value that is not "
+                           "finite in data row 2: t = 0.5, f = nan"),
+    "inf_in_signal_file": ("check-cis", _MODE + "signal.file = {tmp}/inf.csv\n", 4,
+                           "signal.file {tmp}/inf.csv holds a value that is not "
+                           "finite in data row 3: t = inf, f = 3"),
 }
 
 
@@ -562,6 +577,8 @@ def _write_signal_files(tmp_path):
     (tmp_path / "one.csv").write_text("t\n0\n1\n")
     (tmp_path / "header.csv").write_text("t,v\n")
     (tmp_path / "unsorted.csv").write_text("t,v\n1,1\n0,0\n2,4\n")
+    (tmp_path / "nan.csv").write_text("t,v\n0,1\n0.5,nan\n1,2\n")
+    (tmp_path / "inf.csv").write_text("t,v\n0,1\n1,2\ninf,3\n")
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
@@ -601,6 +618,13 @@ def test_resolved_cfg_reloads_to_the_same_run(runner, tmp_path, name):
     assert again.gen.descriptor() == cfg.gen.descriptor()
     for field in ("scheme", "epsilons", "weights", "W_list", "p"):
         assert getattr(again, field) == getattr(cfg, field), field
+
+
+def test_readme_names_every_public_name():
+    # a public name leaves __init__ only together with its README entry
+    text = (ROOT / "README.md").read_text()
+    assert [name for name in pnspredict.__all__
+            if not re.search(rf"\b{name}\b", text)] == []
 
 
 def test_readme_key_table_is_the_config_key_table():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnspredict.generators import (_BLOCK, BSplineGenerator, DaubechiesGenerator,
-                                   Generator, TabulatedGenerator, _bspline_pieces,
+                                   Generator, _bspline_pieces,
                                    _daubechies_table, _expand,
                                    _refinement_residual, daubechies_taps,
                                    generator_from_descriptor, stability_bounds)
@@ -152,8 +152,11 @@ def test_daubechies_integer_values(db3):
     want = {0: 0.0, 1: 1.2863350694256972, 2: -0.3858369610458763,
             3: 0.09526754600378097, 4: 0.004234345616398095, 5: 0.0}
     for k, v in want.items():
-        assert db3.table_value(k) == pytest.approx(v, abs=1e-9)
-    assert sum(db3.table_value(k) for k in range(6)) == pytest.approx(1.0, abs=1e-12)
+        assert db3.eval(float(k)) == pytest.approx(v, abs=1e-9)
+    assert sum(db3.eval(float(k)) for k in range(6)) == pytest.approx(1.0, abs=1e-12)
+    # at an integer the piece returns the refinement fixed point itself
+    assert [db3.eval(float(k)) for k in range(6)] == \
+        db3._values[::1 << db3.level].tolist()
 
 
 def test_daubechies_refinement_identity(db3):
@@ -214,16 +217,6 @@ def test_daubechies_level_controls_resolution():
     assert coarse.level_gap > DaubechiesGenerator(3, level=10).level_gap
 
 
-def test_tabulated_generator_matches_source(q3):
-    grid = np.linspace(0.0, 3.0, 3001)
-    tab = TabulatedGenerator(grid, q3.eval(grid), regularity=1)
-    ts = np.linspace(0.1, 2.9, 57)
-    assert np.abs(tab.eval(ts) - q3.eval(ts)).max() < 1e-6
-    assert np.abs(tab.eval(ts, 1) - q3.eval(ts, 1)).max() < 1e-2
-    with pytest.raises(ValueError):
-        tab.eval(ts, 2)
-
-
 def test_descriptor_round_trip(q4, db3):
     for gen in (q4, db3):
         clone = generator_from_descriptor(gen.descriptor())
@@ -241,11 +234,9 @@ def test_descriptor_without_level_uses_constructor_default(db3):
     {"kind": "daubechies", "order": 3, "level": 12.9},
     {"kind": "bspline", "order": 4.5},
     {"kind": "bspline", "order": "4"},
-    {"kind": "tabulated", "step": 0.5, "values": [0.0, 1.0, 0.0], "regularity": -1},
-    {"kind": "tabulated", "step": 0.5, "values": [0.0, 1.0, 0.0], "regularity": 0.5},
 ])
 def test_descriptor_refuses_what_is_not_a_whole_number(desc):
-    # int() used to truncate these to db3, level 12, Q4 and regularity 0
+    # int() used to truncate these to db3, level 12 and Q4
     with pytest.raises(ValueError, match="must be an integer"):
         generator_from_descriptor(desc)
 
@@ -285,14 +276,6 @@ def test_stability_bounds_match_sinc_series(m):
     assert hi == pytest.approx(phi.max(), abs=1e-10)
 
 
-def test_stability_bounds_routes_agree(q3):
-    direct = stability_bounds(q3)
-    grid = np.linspace(0.0, 3.0, 6001)
-    tabulated = stability_bounds(TabulatedGenerator(grid, q3.eval(grid)))
-    assert direct[0] == pytest.approx(tabulated[0], rel=1e-2)
-    assert direct[1] == pytest.approx(tabulated[1], rel=1e-2)
-
-
 def test_bspline_unit_integral():
     for m in range(2, 7):
         ts = np.linspace(0.0, m, 4001)
@@ -311,10 +294,9 @@ def test_bspline_derivative_sums_telescope(m, s):
     assert np.abs(total).max() < 1e-10
 
 
-# Generators the piece-wise evaluator is checked on: Q2..Q6, db2..db4 (their
-# dyadic-table path) and a tabulated bump with non-integer support (the
-# generic eval(u + q) path).
-EVALUATOR_GENERATORS = ("Q2", "Q3", "Q4", "Q5", "Q6", "db2", "db3", "db4", "tab")
+# Generators the piece-wise evaluator is checked on: Q2..Q6 (their piece
+# polynomials) and db2..db4 (their dyadic-table path).
+EVALUATOR_GENERATORS = ("Q2", "Q3", "Q4", "Q5", "Q6", "db2", "db3", "db4")
 FRACTIONS = (0.0, 0.25, 0.5, 0.75, 0.1)
 
 
@@ -322,10 +304,7 @@ FRACTIONS = (0.0, 0.25, 0.5, 0.75, 0.1)
 def _generator(name):
     if name.startswith("Q"):
         return BSplineGenerator(int(name[1:]))
-    if name.startswith("db"):
-        return DaubechiesGenerator(int(name[2:]), level=12)
-    grid = np.linspace(0.0, 2.5, 251)
-    return TabulatedGenerator(grid, np.sin(np.pi * grid / 2.5) ** 2)
+    return DaubechiesGenerator(int(name[2:]), level=12)
 
 
 @cache
@@ -503,7 +482,7 @@ def _slice_by_slice(fn, x):
     return np.concatenate([fn(x[a:b]) for a, b in zip(_CUTS, _CUTS[1:])])
 
 
-@pytest.mark.parametrize("name", ("Q5", "db3", "tab"))
+@pytest.mark.parametrize("name", ("Q5", "db3"))
 def test_expand_over_block_edges_matches_slices(name):
     gen = _generator(name)
     x = _edge_points(gen.mu, infinite=False)
