@@ -266,8 +266,14 @@ def _signal_from_expr(expr: str) -> TestSignal:
 
     def f(t):
         t = np.asarray(t, dtype=float)
-        return np.broadcast_to(np.asarray(_expr_value(tree, t), dtype=float),
-                               t.shape)
+        with np.errstate(all="ignore"):
+            v = np.broadcast_to(np.asarray(_expr_value(tree, t), dtype=float),
+                                t.shape)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise ConfigError(f"signal.expr {expr!r} is not finite at "
+                              f"t = {t[bad][0]:g}: {v[bad][0]:g}")
+        return v
 
     try:
         f(np.array([0.0, 0.5]))
@@ -404,10 +410,6 @@ def _require_prediction(cfg: RunConfig, ks: KernelSet):
         raise ConfigError(f"{cfg.source}: {exc}")
 
 
-def _moment_tol(gen) -> float:
-    return 1e-8 if gen.kind == "bspline" else 1e-6
-
-
 @click.group()
 def main():
     """Reconstruction and causal prediction in shift-invariant spaces."""
@@ -527,12 +529,9 @@ def cmd_kernels(cfg, out, grid, quiet):
 @_subcommand("moments")
 def cmd_moments(cfg, out, grid, quiet):
     """Report vanishing-moment defects and the reproduction order."""
-    report = reproduction_order(_build_kernel_set(cfg), tol=_moment_tol(cfg.gen))
-    rows = [[j, float(d),
-             float(report.cross_defects[j]) if j < len(report.cross_defects)
-             else ""]
-            for j, d in enumerate(report.defects)]
-    write_csv(out / "moments.csv", ["degree", "defect", "monomial_check"], rows)
+    report = reproduction_order(_build_kernel_set(cfg))
+    write_csv(out / "moments.csv", ["degree", "defect", "monomial_check"],
+              zip(range(report.kappa + 1), report.defects, report.cross_defects))
     _echo(quiet, str(report))
     return EXIT_OK
 
@@ -549,6 +548,12 @@ def cmd_predict(cfg, out, grid, quiet, kernels_path):
     else:
         try:
             ks = load_kernels(kernels_path)
+            for field, theirs, ours in (
+                    ("scheme", ks.scheme, cfg.scheme),
+                    ("generator", ks.gen.descriptor(), cfg.gen.descriptor())):
+                if theirs != ours:
+                    raise ConfigError(f"{kernels_path}: {field} {theirs} is "
+                                      f"not the config's {ours}")
         except KeyError as exc:
             raise ConfigError(f"{kernels_path}: missing entry {exc}")
         except ValueError as exc:
@@ -560,8 +565,7 @@ def cmd_predict(cfg, out, grid, quiet, kernels_path):
     bound = window_bound(ps)
     _echo(quiet, f"past samples per evaluation <= "
                  f"{cfg.scheme.rho * bound} (|window| <= {bound})")
-    report = reproduction_order(ps, tol=_moment_tol(cfg.gen))
-    _echo(quiet, f"reproduction order kappa = {report.kappa}")
+    _echo(quiet, f"reproduction order kappa = {reproduction_order(ps).kappa}")
     a, b = _default_interval(cfg.signal)
     errors = []
     for W in cfg.W_list:

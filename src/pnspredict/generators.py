@@ -51,6 +51,7 @@ class Generator:
     kind: str
     mu: float
     regularity: int
+    approx_order: int   # Strang-Fix: the shifts reproduce degree < approx_order
 
     def eval(self, t, s: int = 0):
         """phi^(s)(t): piece(floor(t), t - floor(t), s) on [0, mu), zero off
@@ -117,6 +118,7 @@ class BSplineGenerator(Generator):
         self.m = _integer_at_least(m, 1, "B-spline order")
         self.mu = float(m)
         self.regularity = max(self.m - 2, 0)
+        self.approx_order = self.m
 
     def eval(self, t, s: int = 0):
         if not 0 <= s <= self.m - 1:
@@ -288,6 +290,7 @@ class DaubechiesGenerator(Generator):
         self.taps, self._values, self.level_gap = _daubechies_table(self.d, self.level)
         self.mu = float(2 * self.d - 1)
         self.regularity = 0
+        self.approx_order = self.d    # the wavelet's d vanishing moments
 
     def eval(self, t, s: int = 0):
         # refused before the scalar path can return 0.0 off the support

@@ -1,15 +1,15 @@
-"""Vanishing-moment checks and the polynomial reproduction order.
+"""The polynomial reproduction order and the vanishing-moment defects.
 
 A kernel set reproduces polynomials of degree < kappa exactly when the
 generalized moment sums
 
     sum_i C(j,i) i! sum_{l,n} (x_n + rho l - t)^{j-i} Theta_ni(t - rho l)
 
-equal delta_{j0} for every j < kappa.  The defects of all degrees are
-measured together on a grid spanning one period plus margins (the defect
-is rho-periodic in t): each kernel is evaluated once on the whole grid of
-t - rho l.  The verdict is cross-checked by applying the W = 1 sampling
-operator to monomials.
+equal delta_{j0} for every j < kappa.  kappa comes from the Strang-Fix
+order of phi; the defects of degrees 0..kappa are measured together on a
+grid spanning one period plus margins (the defect is rho-periodic in t),
+each kernel evaluated once on the whole grid of t - rho l.  The W = 1
+sampling operator applied to monomials witnesses kappa.
 """
 
 from __future__ import annotations
@@ -20,33 +20,26 @@ from math import comb, factorial, floor
 
 import numpy as np
 
-from .kernels import _series_eval
+from .kernels import _TWO_SIDED, _series_eval
 
 __all__ = ["MomentReport", "moment_defects", "reproduction_order"]
-_PROBE_MAX = 8      # the highest degree reproduction_order probes
 
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Reproduction order kappa plus per-degree defects.
-
-    defects[j] is the moment defect of degree j; cross_defects[j] is the
-    relative error of the W = 1 operator applied to t^j, probed for j up
-    to kappa (inclusive where available).
-    """
+    """Reproduction order kappa plus, for j = 0..kappa, the moment defect
+    defects[j] and the relative error cross_defects[j] of the W = 1 operator
+    applied to t^j."""
 
     kappa: int
     defects: tuple
     cross_defects: tuple
-    tol: float
 
     def __str__(self):
-        lines = [f"reproduction order kappa = {self.kappa} (tol {self.tol:g})",
+        lines = [f"reproduction order kappa = {self.kappa}",
                  "degree  defect        monomial check"]
-        for j, d in enumerate(self.defects):
-            cross = (f"{self.cross_defects[j]:.3e}"
-                     if j < len(self.cross_defects) else "-")
-            lines.append(f"{j:6d}  {d:.6e}  {cross}")
+        for j, (d, cross) in enumerate(zip(self.defects, self.cross_defects)):
+            lines.append(f"{j:6d}  {d:.6e}  {cross:.3e}")
         return "\n".join(lines)
 
 
@@ -95,36 +88,35 @@ def _monomial_cross_check(ks, degree: int) -> float:
     derivs = [lambda t, i=i: (factorial(degree) / factorial(degree - i)
                               * t ** (degree - i) if i <= degree else 0.0 * t)
               for i in range(ks.scheme.r)]
-    approx = _series_eval(ks, derivs, 1.0, ts)
     exact = ts ** degree
-    scale = max(1.0, float(np.abs(exact).max()))
-    return float(np.abs(approx - exact).max()) / scale
+    err = np.abs(_series_eval(ks, derivs, 1.0, ts) - exact).max()
+    return float(err) / max(1.0, float(np.abs(exact).max()))
 
 
 def reproduction_order(ks, tol: float = 1e-8) -> MomentReport:
-    """Largest kappa with moment defects <= tol for every degree < kappa.
+    """kappa by Strang-Fix, with the defects and monomial checks of degrees
+    0..kappa (kappa, the first degree not reproduced, included).
 
-    Probes degrees 0.._PROBE_MAX; a clean sweep reports kappa = _PROBE_MAX+1.
-    The independent monomial check (reproducing t^j through the sampling
-    operator itself) is reported alongside and a disagreement warns.
+    A two-sided set on a CIS is exact on V(phi), so it reproduces what the
+    shifts of phi do: kappa = gen.approx_order.  The causal set's W = 1
+    operator is sum_p a_p (S f)(t - eps_p), which keeps degree j when
+    sum_p a_p (-eps_p)^j = delta_j0: KernelSet checks this for j < rho, and
+    at j = rho the sum is -prod eps_p != 0, so kappa = min(approx_order, rho).
+
+    No tolerance decides kappa; tol only sets the guard.  A monomial check
+    above max(100 tol, 1e-6) below kappa warns (RuntimeWarning), as it does
+    for kernels that do not come from a CIS.
     """
+    kappa = ks.gen.approx_order
+    if (ks.epsilons, ks.weights) != _TWO_SIDED:
+        kappa = min(kappa, ks.scheme.rho)
     lo, hi = ks.support
-    width = hi - lo
-    rho = ks.scheme.rho
-    grid = np.linspace(-width, rho + width, 257)
-    defects = moment_defects(ks, _PROBE_MAX, grid)
-    kappa = _PROBE_MAX + 1
-    for j, d in enumerate(defects):
-        if d > tol:
-            kappa = j
-            break
-    cross = tuple(_monomial_cross_check(ks, j)
-                  for j in range(min(kappa, _PROBE_MAX) + 1))
+    grid = np.linspace(lo - hi, ks.scheme.rho + (hi - lo), 257)
+    defects = moment_defects(ks, kappa, grid)
+    cross = tuple(_monomial_cross_check(ks, j) for j in range(kappa + 1))
     for j in range(kappa):
-        if j < len(cross) and cross[j] > max(100.0 * tol, 1e-6):
-            warnings.warn(
-                f"degree {j}: moment defect {defects[j]:.2e} passes but the "
-                f"monomial check gives {cross[j]:.2e}", RuntimeWarning,
-                stacklevel=2)
-    return MomentReport(kappa=kappa, defects=defects, cross_defects=cross,
-                        tol=float(tol))
+        if cross[j] > max(100.0 * tol, 1e-6):
+            warnings.warn(f"degree {j} < kappa = {kappa}, but the monomial check "
+                          f"gives {cross[j]:.2e} (moment defect {defects[j]:.2e})",
+                          RuntimeWarning, stacklevel=2)
+    return MomentReport(kappa=kappa, defects=defects, cross_defects=cross)

@@ -469,6 +469,49 @@ def test_predict_maps_a_bad_kernel_file_to_exit_2(runner, quartic_cfg, tmp_path)
         assert res.stderr == f"config error: {path}: {message}\n"
 
 
+def test_predict_refuses_kernels_of_another_scheme_or_generator(runner, tmp_path):
+    # a chebyshev kernel set used to run under the equally spaced config,
+    # whose offsets resolved.cfg then recorded
+    kdir = tmp_path / "k"
+    assert runner.invoke(main, ["kernels", "--config",
+                                str(CONFIGS / "quartic_r1_chebyshev.cfg"),
+                                "--out", str(kdir), "--quiet"]).exit_code == 0
+    doc = json.loads((kdir / "kernels.json").read_text())
+    other = tmp_path / "q5.json"
+    other.write_text(json.dumps({**doc, "scheme": {"offsets": [0, 0.25, 0.5, 0.75],
+                                                   "r": 1},
+                                 "generator": {"kind": "bspline", "order": 5}}))
+    cases = [(kdir / "kernels.json", "scheme SamplingScheme(offsets=("
+              + ", ".join(map(repr, doc["scheme"]["offsets"])) + "), r=1, rho=4, "
+              "s=0) is not the config's SamplingScheme(offsets=(0.0, 0.25, 0.5, "
+              "0.75), r=1, rho=4, s=0)"),
+             (other, "generator {'kind': 'bspline', 'order': 5} is not the "
+              "config's {'kind': 'bspline', 'order': 4}")]
+    for path, message in cases:
+        res = runner.invoke(main, ["predict", "--config",
+                                   str(CONFIGS / "quartic_r1.cfg"), "--kernels",
+                                   str(path), "--out", str(tmp_path / "p")])
+        assert res.exit_code == EXIT_CONFIG
+        assert res.stderr == f"config error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("sub", ["convergence", "predict"])
+def test_signal_expr_not_finite_is_one_line_on_stderr(tmp_path, sub):
+    # sqrt(t) passes the config's probe at t = 0 and 0.5; it used to print
+    # numpy's RuntimeWarning and end in a ValueError traceback, exit 1
+    cfg = tmp_path / "sqrt.cfg"
+    cfg.write_text((CONFIGS / "quartic_r1.cfg").read_text().replace(
+        "signal.name = f", "signal.expr = np.sqrt(t)"))
+    res = subprocess.run([sys.executable, "-m", "pnspredict.cli", sub, "--config",
+                          str(cfg), "--out", str(tmp_path / "o"), "--quiet"],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert res.returncode == EXIT_CONFIG
+    [line] = res.stderr.splitlines()
+    assert re.fullmatch(r"config error: signal.expr 'np.sqrt\(t\)' is not finite "
+                        r"at t = -[0-9.]+: nan", line)
+
+
 @pytest.mark.parametrize("sub", ["check-cis", "kernels", "moments", "predict",
                                  "convergence", "table1"])
 def test_a_grid_below_32_is_a_config_error(runner, quartic_cfg, tmp_path, sub):
@@ -533,6 +576,9 @@ CONFIG_ERRORS = {
                         5, "give only one of signal.name / signal.expr"),
     "unparsable_expr": ("check-cis", _MODE + "signal.expr = t +\n", 4,
                         "signal.expr is not an expression"),
+    # numpy used to warn of the division and let the inf through
+    "expr_not_finite": ("check-cis", _MODE + "signal.expr = 1/t\n", 4,
+                        "signal.expr '1/t' is not finite at t = 0: inf"),
     "unknown_kind": ("kernels", "generator.kind = wavelet\n" + _MODE, 1,
                      "unknown generator kind 'wavelet'"),
     "order_zero": ("kernels", _MODE.replace("order = 4", "order = 0"), 1,

@@ -551,13 +551,26 @@ def test_daubechies_taps_strang_fix_order(d):
     assert moments[d] >= 1.0
 
 
+def _bspline_taps(m):
+    # Q_m refines with h_k = sqrt(2) 2^-m C(m, k)
+    return np.array([sqrt(2.0) * comb(m, k) / 2 ** m for k in range(m + 1)])
+
+
+def _mask_order(taps):
+    moments = _alternating_moments(taps, 9)
+    return next(j for j, m in enumerate(moments) if m > 1e-10)
+
+
 def test_reproduction_order_matches_strang_fix_order(kernels_db3,
                                                       kernels_quartic_r1):
-    # the quartic B-spline refines with h_k = sqrt(2) 2^-4 C(4, k)
-    q4_taps = np.array([sqrt(2.0) * comb(4, k) / 16 for k in range(5)])
+    # approx_order, read off the refinement mask instead of stated
+    for m in (3, 4, 5, 6):
+        assert BSplineGenerator(m).approx_order == _mask_order(_bspline_taps(m)) == m
+    for d in (2, 3, 4, 5, 6):
+        gen = DaubechiesGenerator(d, level=6)
+        assert gen.approx_order == _mask_order(daubechies_taps(d)) == d
     for taps, ks, tol, want in ((daubechies_taps(3), kernels_db3, 1e-6, 3),
-                                (q4_taps, kernels_quartic_r1, 1e-8, 4)):
-        moments = _alternating_moments(taps, 9)
-        order = next(j for j, m in enumerate(moments) if m > 1e-10)
+                                (_bspline_taps(4), kernels_quartic_r1, 1e-8, 4)):
+        order = _mask_order(taps)
         assert order == want
         assert reproduction_order(ks, tol=tol).kappa == order

@@ -1,9 +1,12 @@
+import warnings
 from math import ceil, comb, factorial, floor
 
 import numpy as np
 import pytest
 
+from pnspredict import BSplineGenerator, KernelSet, SamplingScheme, modify_kernels
 from pnspredict.moments import MomentReport, moment_defects, reproduction_order
+from conftest import build_kernel_set
 
 
 def test_moment_defect_degree_zero(kernels_quartic_r1):
@@ -107,3 +110,53 @@ def test_report_formatting(kernels_quartic_r1):
     assert "kappa = 4" in text
     assert "degree" in text
     assert isinstance(rep, MomentReport)
+
+
+# Causal sets whose degree-3..5 long-double defects reach 1e-8 to 7e-8:
+# read against a tolerance, they gave kappa = 3, 3, 4 and 3.
+SWEEP_CAUSAL_SETS = {
+    "Q4_r2": (4, 2, (0.6504592762678163, 0.6884467305709401), 4),
+    "Q5_r1_a": (5, 1, (0.31024187555895566, 0.4858353588317891,
+                       0.5253543224757259, 0.7214883401940817,
+                       0.8894878343490003), 5),
+    "Q5_r1_b": (5, 1, (0.22715759353337972, 0.33791122550713326,
+                       0.39161900052816123, 0.6231871446860424,
+                       0.8902743520047923), 5),
+    "Q6_r2_cheb": (6, 2, SamplingScheme.chebyshev(3, 2).offsets, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CAUSAL_SETS))
+def test_causal_sets_read_the_theoretical_kappa(case):
+    m, r, offsets, want = SWEEP_CAUSAL_SETS[case]
+    scheme = SamplingScheme(offsets, r)
+    ks = build_kernel_set(BSplineGenerator(m), scheme)
+    rho = scheme.rho
+    ps = modify_kernels(ks, tuple(rho * (p + 1.0) for p in range(rho)))
+    rep = reproduction_order(ps)
+    assert rep.kappa == want
+    # the operator itself witnesses kappa: exact below it, not at it
+    assert max(rep.cross_defects[:want]) <= 1e-6
+    assert rep.cross_defects[want] >= 1e-4
+
+
+def test_kernels_off_a_cis_trip_the_guard(kernels_quartic_r1):
+    ks = kernels_quartic_r1
+    bent = KernelSet(ks.gen, ks.scheme, 1.01 * ks.A, ks.B)
+    with pytest.warns(RuntimeWarning,
+                      match=r"degree \d < kappa = 4, but the monomial check"):
+        reproduction_order(bent)
+
+
+def test_kappa_does_not_need_a_long_double(monkeypatch, kernels_quartic_r1,
+                                           kernels_hermite, kernels_db3,
+                                           pred_quartic_r1, pred_hermite, pred_db3):
+    # where long double is float64 (MSVC, Apple arm64) the causal quartic
+    # defects read 1.2-1.5e-8, which a tolerance of 1e-8 took for kappa = 3
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    cases = ((kernels_quartic_r1, 4), (kernels_hermite, 4), (kernels_db3, 3),
+             (pred_quartic_r1, 4), (pred_hermite, 4), (pred_db3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for ks, want in cases:
+            assert reproduction_order(ks).kappa == want
