@@ -52,7 +52,6 @@ from .approximation import (
     builtin_signal,
     convergence_study,
     lp_error,
-    tau_modulus_estimate,
 )
 
 __all__ = [
@@ -89,7 +88,6 @@ __all__ = [
     "reproduction_order",
     "save_kernels",
     "stability_bounds",
-    "tau_modulus_estimate",
     "window_bound",
     "zak_transform",
 ]

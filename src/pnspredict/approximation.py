@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, comb, isfinite
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "approx_operator",
     "lp_error",
     "convergence_study",
-    "tau_modulus_estimate",
 ]
 
 
@@ -229,37 +228,3 @@ def convergence_study(kset, signal: TestSignal, W_list, p: float = 2.0
         slope = float(np.polyfit(lw, le, 1)[0])
     return ConvergenceReport(W=Ws, errors=errors, slope=slope, p=float(p))
 
-
-def tau_modulus_estimate(signal: TestSignal, r: int, delta: float,
-                         p: float, grid) -> float:
-    """Averaged modulus of smoothness tau_r(f; delta)_p on a lattice.
-
-    For each grid point x the local modulus sup |Delta_h^r f(t)| is
-    maximized over a discretization of the admissible (t, h) with
-    t, t + r h inside [x - r delta/2, x + r delta/2]; the discrete L^p
-    norm over the grid is returned.  A lower bound of the true modulus.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if r < 1:
-        raise ValueError("difference order must be >= 1")
-    xs = np.sort(np.asarray(grid, dtype=float).ravel())
-    if xs.size < 2:
-        raise ValueError("grid must have at least two points")
-    if np.diff(xs).max() >= delta / 8.0:
-        raise ValueError("grid resolution must be finer than delta/8")
-    binom = np.array([(-1.0) ** (r - k) * comb(r, k) for k in range(r + 1)])
-    omega = np.zeros_like(xs)
-    for h in delta * np.arange(1, 17) / 16.0:
-        span = r * (delta - h)
-        for frac in np.linspace(0.0, 1.0, 17):
-            t0 = xs - r * delta / 2.0 + frac * span
-            diff = np.zeros_like(xs)
-            for k in range(r + 1):
-                diff += binom[k] * np.asarray(signal.eval(t0 + k * h), dtype=float)
-            omega = np.maximum(omega, np.abs(diff))
-    if np.isinf(p):
-        return float(omega.max())
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return float(np.trapezoid(omega ** p, xs) ** (1.0 / p))

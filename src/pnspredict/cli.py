@@ -9,6 +9,7 @@ endings, header row) plus a resolved-config copy per run.
 from __future__ import annotations
 
 import ast
+import shutil
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -415,6 +416,16 @@ def main():
     """Reconstruction and causal prediction in shift-invariant spaces."""
 
 
+def _discard_new(out: Path, kept):
+    """Remove what a refused run wrote: out itself when it did not exist
+    before (kept is None), else every entry of out not in kept."""
+    if kept is None:
+        shutil.rmtree(out, ignore_errors=True)
+    else:
+        for path in set(out.iterdir()) - kept:
+            path.unlink()               # the subcommands write files only
+
+
 def _subcommand(name, *extra_options, builtin=None, setup=None):
     """Register body(cfg, out, grid, quiet, **extra) as subcommand `name`.
 
@@ -424,7 +435,7 @@ def _subcommand(name, *extra_options, builtin=None, setup=None):
     name), passes the RunConfig through `setup`, creates --out, writes
     resolved.cfg there, runs the body and exits with its code.  ConfigError
     exits 2 and SingularSamplePointError exits 3, each with its message on
-    stderr.
+    stderr and nothing of the run left in --out (`_discard_new`).
     """
     if builtin is None:
         config = click.option("--config", "config_path", required=True,
@@ -448,6 +459,8 @@ def _subcommand(name, *extra_options, builtin=None, setup=None):
 
     def register(body):
         def command(config_path, out_dir, grid, quiet, **extra):
+            out = Path(out_dir)
+            kept = set(out.iterdir()) if out.is_dir() else None
             try:
                 if grid < 32:
                     raise ConfigError(f"--grid must be >= 32, got {grid}")
@@ -455,14 +468,15 @@ def _subcommand(name, *extra_options, builtin=None, setup=None):
                        else load_config(config_path))
                 if setup is not None:
                     cfg = setup(cfg)
-                out = Path(out_dir)
                 out.mkdir(parents=True, exist_ok=True)
                 _write_resolved(cfg, out)
                 code = body(cfg, out, grid, quiet, **extra)
             except ConfigError as exc:
+                _discard_new(out, kept)
                 click.echo(f"config error: {exc}", err=True)
                 code = EXIT_CONFIG
             except SingularSamplePointError as exc:
+                _discard_new(out, kept)
                 click.echo(f"not a complete interpolation set: {exc}", err=True)
                 code = EXIT_NOT_CIS
             sys.exit(code)

@@ -6,21 +6,21 @@ generalized moment sums
     sum_i C(j,i) i! sum_{l,n} (x_n + rho l - t)^{j-i} Theta_ni(t - rho l)
 
 equal delta_{j0} for every j < kappa.  kappa comes from the Strang-Fix
-order of phi; the defects of degrees 0..kappa are measured together on a
-grid spanning one period plus margins (the defect is rho-periodic in t),
-each kernel evaluated once on the whole grid of t - rho l.  The W = 1
-sampling operator applied to monomials witnesses kappa.
+order of phi; the defects of degrees 0..kappa are measured together on one
+period (the moment sums are rho-periodic in t), each kernel evaluated once
+on the whole grid of t - rho l.  The W = 1 sampling operator applied to
+monomials on the same grid witnesses kappa.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb, factorial, floor
+from math import comb, factorial
 
 import numpy as np
 
-from .kernels import _TWO_SIDED, _series_eval
+from .kernels import _TWO_SIDED, _periods, _series_eval
 
 __all__ = ["MomentReport", "moment_defects", "reproduction_order"]
 
@@ -47,12 +47,10 @@ def moment_defects(ks, degree: int, t_grid) -> tuple:
     """Moment defects of degrees 0..degree: for each j, the max over t_grid
     of |moment sum of degree j minus delta_{j0}|.
 
-    Every kernel is evaluated once, on the (t, l) grid of the periods l
-    whose window can hold t, and feeds the sums of all degrees.  phi is
-    read in float64; the weighted sum of its copies and the moment sums are
-    carried in extended precision: modified kernels carry weights in the
-    thousands, and the cancellation down to ~1e-9 defects is below the
-    float64 noise floor of the naive sum.
+    Every kernel is read once through KernelSet.kernel, on the (t, l) grid
+    of t - rho l over the periods whose window holds some t (`_periods`),
+    and feeds the sums of all degrees; a kernel is 0 off its window, so
+    the other columns add zeros.  Everything is float64.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -60,21 +58,12 @@ def moment_defects(ks, degree: int, t_grid) -> tuple:
     if ts.size == 0:
         raise ValueError("t_grid must be nonempty")
     scheme = ks.scheme
-    rho = scheme.rho
-    lo, hi = ks.support
-    work = np.longdouble
-    # first period whose window reaches t, then as many as a window spans;
-    # the kernels vanish exactly at the periods past the last one
-    first = np.ceil((ts - hi) / rho)
-    periods = first[:, None] + np.arange(floor((hi - lo) / rho) + 1)
-    tau = ts.astype(work)[:, None] - work(rho) * periods
-    acc = np.zeros((degree + 1, ts.size), dtype=work)
+    tau = ts[:, None] - scheme.rho * _periods(ks, ts)
+    acc = np.zeros((degree + 1, ts.size))
     for n, x in enumerate(scheme.offsets):
-        diff = work(x) - tau
+        diff = x - tau
         for i in range(min(degree, scheme.r - 1) + 1):
-            shifts, coefs = ks.term_table(n, i)
-            phi = ks.gen.eval(tau.ravel() - shifts[:, None])
-            term = (coefs.astype(work) @ phi).reshape(tau.shape)
+            term = ks.kernel(n, i, tau)
             for j in range(i, degree + 1):
                 acc[j] += (comb(j, i) * factorial(i)) * term.sum(axis=1)
                 term = term * diff
@@ -82,9 +71,8 @@ def moment_defects(ks, degree: int, t_grid) -> tuple:
     return tuple(float(d) for d in np.abs(acc).max(axis=1))
 
 
-def _monomial_cross_check(ks, degree: int) -> float:
-    """Relative error of the W = 1 operator applied to t^degree."""
-    ts = np.linspace(0.0, ks.scheme.rho, 65)
+def _monomial_cross_check(ks, degree: int, ts) -> float:
+    """Relative error over ts of the W = 1 operator applied to t^degree."""
     derivs = [lambda t, i=i: (factorial(degree) / factorial(degree - i)
                               * t ** (degree - i) if i <= degree else 0.0 * t)
               for i in range(ks.scheme.r)]
@@ -95,7 +83,8 @@ def _monomial_cross_check(ks, degree: int) -> float:
 
 def reproduction_order(ks, tol: float = 1e-8) -> MomentReport:
     """kappa by Strang-Fix, with the defects and monomial checks of degrees
-    0..kappa (kappa, the first degree not reproduced, included).
+    0..kappa (kappa, the first degree not reproduced, included), both on
+    one period of t.
 
     A two-sided set on a CIS is exact on V(phi), so it reproduces what the
     shifts of phi do: kappa = gen.approx_order.  The causal set's W = 1
@@ -110,10 +99,9 @@ def reproduction_order(ks, tol: float = 1e-8) -> MomentReport:
     kappa = ks.gen.approx_order
     if (ks.epsilons, ks.weights) != _TWO_SIDED:
         kappa = min(kappa, ks.scheme.rho)
-    lo, hi = ks.support
-    grid = np.linspace(lo - hi, ks.scheme.rho + (hi - lo), 257)
+    grid = np.linspace(0.0, ks.scheme.rho, 65)
     defects = moment_defects(ks, kappa, grid)
-    cross = tuple(_monomial_cross_check(ks, j) for j in range(kappa + 1))
+    cross = tuple(_monomial_cross_check(ks, j, grid) for j in range(kappa + 1))
     for j in range(kappa):
         if cross[j] > max(100.0 * tol, 1e-6):
             warnings.warn(f"degree {j} < kappa = {kappa}, but the monomial check "

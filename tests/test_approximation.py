@@ -10,7 +10,7 @@ import pytest
 from pnspredict import approximation
 from pnspredict.approximation import (TestSignal, approx_operator,
                                       builtin_signal, convergence_study,
-                                      lp_error, tau_modulus_estimate)
+                                      lp_error)
 from pnspredict.generators import BSplineGenerator
 from pnspredict.polyphase import SamplingScheme
 from pnspredict.prediction import modify_kernels
@@ -242,36 +242,3 @@ def test_convergence_study_needs_three_points(kernels_quartic_r1):
     f = builtin_signal("f")
     with pytest.raises(ValueError):
         convergence_study(kernels_quartic_r1, f, (2.0, 4.0))
-
-
-def test_tau_modulus_smooth_cases():
-    grid = np.linspace(-4.0, 6.0, 2001)
-    one = TestSignal("one", (lambda t: np.ones_like(np.asarray(t, float)),))
-    lin = TestSignal("lin", (lambda t: 2.0 * np.asarray(t, float) + 1.0,))
-    assert tau_modulus_estimate(one, 1, 0.1, 2.0, grid) == 0.0
-    # second differences annihilate affine signals
-    assert tau_modulus_estimate(lin, 2, 0.1, 2.0, grid) <= 1e-12
-
-
-def test_tau_modulus_sees_the_jumps():
-    g = builtin_signal("g")
-    grid = np.linspace(-4.0, 6.0, 2001)
-    tau = tau_modulus_estimate(g, 1, 0.1, 2.0, grid)
-    # jump sizes 3.6875 at -1.5 and 11.5 at 3 set the scale
-    assert tau > 1.9
-    assert tau < 6.0
-    assert tau_modulus_estimate(g, 1, 0.1, np.inf, grid) == \
-        pytest.approx(11.5, rel=1e-3)
-
-
-def test_tau_modulus_validation():
-    g = builtin_signal("g")
-    fine = np.linspace(-4.0, 6.0, 2001)
-    with pytest.raises(ValueError):
-        tau_modulus_estimate(g, 1, 0.0, 2.0, fine)
-    with pytest.raises(ValueError):
-        tau_modulus_estimate(g, 0, 0.1, 2.0, fine)
-    with pytest.raises(ValueError):
-        tau_modulus_estimate(g, 1, 0.1, 0.5, fine)
-    with pytest.raises(ValueError, match="resolution"):
-        tau_modulus_estimate(g, 1, 0.1, 2.0, np.linspace(-4.0, 6.0, 101))

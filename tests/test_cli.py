@@ -512,6 +512,25 @@ def test_signal_expr_not_finite_is_one_line_on_stderr(tmp_path, sub):
                         r"at t = -[0-9.]+: nan", line)
 
 
+@pytest.mark.parametrize("sub", ["predict", "convergence", "table1"])
+def test_a_run_refused_in_its_body_leaves_no_new_file(runner, tmp_path, sub):
+    # sqrt(t) is refused only once the signal is sampled, after resolved.cfg
+    # (and for predict prediction.json) was written
+    cfg = tmp_path / "sqrt.cfg"
+    cfg.write_text((CONFIGS / "quartic_r1.cfg").read_text().replace(
+        "signal.name = f", "signal.expr = np.sqrt(t)"))
+    fresh = tmp_path / "fresh"
+    res = runner.invoke(main, [sub, "--config", str(cfg), "--out", str(fresh)])
+    assert res.exit_code == EXIT_CONFIG
+    assert not fresh.exists()
+    used = tmp_path / "used"
+    used.mkdir()
+    (used / "notes.txt").write_text("kept\n")
+    res = runner.invoke(main, [sub, "--config", str(cfg), "--out", str(used)])
+    assert res.exit_code == EXIT_CONFIG
+    assert [p.name for p in used.iterdir()] == ["notes.txt"]
+
+
 @pytest.mark.parametrize("sub", ["check-cis", "kernels", "moments", "predict",
                                  "convergence", "table1"])
 def test_a_grid_below_32_is_a_config_error(runner, quartic_cfg, tmp_path, sub):

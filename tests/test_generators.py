@@ -513,7 +513,8 @@ def test_eval_over_block_edges_matches_slices(gen):
             return gen.eval(pts, s)
         want = _slice_by_slice(fn, x)
         assert fn(x).tobytes() == want.tobytes(), s
-        # the shape moment_defects passes: long double points less one shift a row
+        # long double points less one shift a row, as the extended-precision
+        # reference of test_moments passes them, are read as float64
         shifts = np.array([0.0, 1.5, -2.0])
         grid = x.astype(np.longdouble) - shifts[:, None]
         rows = [_slice_by_slice(fn, row.astype(float)) for row in grid]
