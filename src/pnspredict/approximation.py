@@ -142,11 +142,11 @@ def _lp_once(kset, signal, W, p, a, b, panels, coarse=None):
 
 
 def lp_error(kset, signal: TestSignal, W: float, p: float = 2.0,
-             interval=None, quad_n: int = None) -> float:
+             quad_n: int = None) -> float:
     """L^p norm of S_W f - f by composite Simpson quadrature.
 
-    The interval defaults to the signal's mass window extended by one
-    kernel support width; quad_n is the number of Simpson panels.  When
+    The interval is the signal's mass window extended by one kernel
+    support width; quad_n is the number of Simpson panels.  When
     quad_n is omitted the rule starts at step 1/(50 W) and refines until
     doubling changes the result by under 0.1 percent; when three doublings
     do not get there, the last value is returned with a RuntimeWarning
@@ -156,11 +156,7 @@ def lp_error(kset, signal: TestSignal, W: float, p: float = 2.0,
         raise ValueError("W must be positive")
     if not (isfinite(p) and p >= 1):
         raise ValueError("p must be a finite real >= 1")
-    if interval is None:
-        interval = _default_interval(signal)
-    a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise ValueError("empty integration interval")
+    a, b = _default_interval(signal)
     ext = (kset.support[1] - kset.support[0]) / W
     a -= ext
     b += ext

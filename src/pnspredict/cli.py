@@ -23,7 +23,7 @@ from .approximation import (TestSignal, _default_interval, approx_operator,
 from .generators import (BSplineGenerator, DaubechiesGenerator,
                          stability_bounds)
 from .kernels import (KernelSet, SingularSamplePointError, build_kernels,
-                      invert_polyphase, load_kernels, save_kernels)
+                      invert_polyphase, save_kernels)
 from .moments import reproduction_order
 from .polyphase import (CIS_THRESHOLD, SamplingScheme, build_polyphase,
                         cis_determinant, det_on_circle, frame_bounds)
@@ -416,18 +416,31 @@ def main():
     """Reconstruction and causal prediction in shift-invariant spaces."""
 
 
-def _discard_new(out: Path, kept):
-    """Remove what a refused run wrote: out itself when it did not exist
-    before (kept is None), else every entry of out not in kept."""
-    if kept is None:
+def _snapshot(out: Path):
+    """What --out holds before a run: None when it does not exist, else
+    each entry with its bytes (None for an entry that is not a file)."""
+    if not out.is_dir():
+        return None
+    return {path: path.read_bytes() if path.is_file() else None
+            for path in out.iterdir()}
+
+
+def _restore(out: Path, before):
+    """Undo what a refused run wrote: remove out when it did not exist
+    (before is None), else remove every new entry and put back the bytes
+    of every file it overwrote."""
+    if before is None:
         shutil.rmtree(out, ignore_errors=True)
-    else:
-        for path in set(out.iterdir()) - kept:
-            path.unlink()               # the subcommands write files only
+        return
+    for path in set(out.iterdir()) - before.keys():
+        path.unlink()                   # the subcommands write files only
+    for path, data in before.items():
+        if data is not None and path.read_bytes() != data:
+            path.write_bytes(data)
 
 
-def _subcommand(name, *extra_options, builtin=None, setup=None):
-    """Register body(cfg, out, grid, quiet, **extra) as subcommand `name`.
+def _subcommand(name, builtin=None, setup=None):
+    """Register body(cfg, out, grid, quiet) as subcommand `name`.
 
     The command refuses a --grid below 32, the fewest points it writes on a
     `kernels` or `predict` curve (no other subcommand reads --grid),
@@ -435,7 +448,7 @@ def _subcommand(name, *extra_options, builtin=None, setup=None):
     name), passes the RunConfig through `setup`, creates --out, writes
     resolved.cfg there, runs the body and exits with its code.  ConfigError
     exits 2 and SingularSamplePointError exits 3, each with its message on
-    stderr and nothing of the run left in --out (`_discard_new`).
+    stderr and --out left as the run found it (`_restore`).
     """
     if builtin is None:
         config = click.option("--config", "config_path", required=True,
@@ -454,13 +467,12 @@ def _subcommand(name, *extra_options, builtin=None, setup=None):
         click.option("--grid", default=256, show_default=True,
                      type=int, help=helps[1]),
         click.option("--quiet", is_flag=True, help=helps[2]),
-        *extra_options,
     ]
 
     def register(body):
-        def command(config_path, out_dir, grid, quiet, **extra):
+        def command(config_path, out_dir, grid, quiet):
             out = Path(out_dir)
-            kept = set(out.iterdir()) if out.is_dir() else None
+            before = _snapshot(out)
             try:
                 if grid < 32:
                     raise ConfigError(f"--grid must be >= 32, got {grid}")
@@ -470,13 +482,13 @@ def _subcommand(name, *extra_options, builtin=None, setup=None):
                     cfg = setup(cfg)
                 out.mkdir(parents=True, exist_ok=True)
                 _write_resolved(cfg, out)
-                code = body(cfg, out, grid, quiet, **extra)
+                code = body(cfg, out, grid, quiet)
             except ConfigError as exc:
-                _discard_new(out, kept)
+                _restore(out, before)
                 click.echo(f"config error: {exc}", err=True)
                 code = EXIT_CONFIG
             except SingularSamplePointError as exc:
-                _discard_new(out, kept)
+                _restore(out, before)
                 click.echo(f"not a complete interpolation set: {exc}", err=True)
                 code = EXIT_NOT_CIS
             sys.exit(code)
@@ -550,29 +562,10 @@ def cmd_moments(cfg, out, grid, quiet):
     return EXIT_OK
 
 
-@_subcommand("predict",
-             click.option("--kernels", "kernels_path",
-                          type=click.Path(exists=True), default=None,
-                          help="reload a serialized kernel set instead of "
-                          "rebuilding it"))
-def cmd_predict(cfg, out, grid, quiet, kernels_path):
+@_subcommand("predict")
+def cmd_predict(cfg, out, grid, quiet):
     """Run the causal predictor over the configured W values."""
-    if kernels_path is None:
-        ks = _build_kernel_set(cfg)
-    else:
-        try:
-            ks = load_kernels(kernels_path)
-            for field, theirs, ours in (
-                    ("scheme", ks.scheme, cfg.scheme),
-                    ("generator", ks.gen.descriptor(), cfg.gen.descriptor())):
-                if theirs != ours:
-                    raise ConfigError(f"{kernels_path}: {field} {theirs} is "
-                                      f"not the config's {ours}")
-        except KeyError as exc:
-            raise ConfigError(f"{kernels_path}: missing entry {exc}")
-        except ValueError as exc:
-            raise ConfigError(f"{kernels_path}: {exc}")
-    ps = _require_prediction(cfg, ks)
+    ps = _require_prediction(cfg, _build_kernel_set(cfg))
     save_kernels(ps, out / "prediction.json")
     lo, hi = ps.support
     _echo(quiet, f"support [{lo:g}, {hi:g}]")

@@ -187,8 +187,7 @@ def _daubechies_table(d: int, level: int):
 
     Integer values come from the eigenvector (eigenvalue 1) of the refinement
     matrix; finer dyadic values follow exactly from the refinement equation.
-    Returns (taps, values, midpoint_gap) where midpoint_gap is the sup distance
-    between the final level and the previous level's linear interpolant.
+    Returns (taps, values).
 
     The table is filled in place: with s = 2^(level - lev), level lev's new
     points are values[s::2s] and the points before it values[::2s].  Every
@@ -213,20 +212,11 @@ def _daubechies_table(d: int, level: int):
         for a in range(0, len(new), _BLOCK):
             block = _tap_sum(terms, a, min(_BLOCK, len(new) - a), acc, tmp)
             new[a:a + len(block)] = block
-    # the last level's points against the midpoints of their neighbours
-    even, odd = values[::2], values[1::2]
-    gap = 0.0
-    for a in range(0, len(odd), _BLOCK):
-        n = min(_BLOCK, len(odd) - a)
-        mid = np.add(even[a:a + n], even[a + 1:a + n + 1], out=tmp[:n])
-        mid *= 0.5
-        np.subtract(odd[a:a + n], mid, out=mid)
-        gap = np.maximum(gap, np.abs(mid, out=mid).max())
     # holds exactly by construction; guards against a broken filter
     resid = _refinement_residual(h, values, level)
     if resid > 1e-8:
         raise RuntimeError(f"cascade failed to converge: refinement residual {resid:.3e}")
-    return h, values, float(gap)
+    return h, values
 
 
 def _tap_sum(terms, a: int, n: int, acc, tmp) -> np.ndarray:
@@ -287,7 +277,7 @@ class DaubechiesGenerator(Generator):
         # checked before the cached table, which int-valued floats would hit
         self.level = _integer_at_least(level, 1, "refinement level")
         self.d = _integer_at_least(d, 2, "Daubechies order")
-        self.taps, self._values, self.level_gap = _daubechies_table(self.d, self.level)
+        self.taps, self._values = _daubechies_table(self.d, self.level)
         self.mu = float(2 * self.d - 1)
         self.regularity = 0
         self.approx_order = self.d    # the wavelet's d vanishing moments

@@ -125,9 +125,10 @@ class KernelSet:
         B = np.asarray(B, dtype=float)
         if A.shape != (rho, rho) or B.shape != (rho, rho):
             raise ValueError("A and B must be rho x rho")
-        if np.abs(A[s + 1:]).max(initial=0.0) > 1e-9:
+        # exact zeros: a row the kernels ignore must not reach save_kernels
+        if A[s + 1:].any():
             raise ValueError("rows s+1..rho-1 of A must vanish")
-        if np.abs(B[:s + 1]).max(initial=0.0) > 1e-9:
+        if B[:s + 1].any():
             raise ValueError("rows 0..s of B must vanish")
         eps = tuple(float(e) for e in epsilons)
         wts = tuple(float(a) for a in weights)
@@ -263,11 +264,9 @@ def reconstruct(ks: KernelSet, samples: dict, t):
     return _series_eval(ks, samples, 1.0, t)
 
 
-def kernel_doc(ks: KernelSet) -> dict:
-    """Plain-dict form of a kernel set, JSON-ready, full float precision.
-
-    The nodes and weights are written only for a shifted set.
-    """
+def save_kernels(ks: KernelSet, path):
+    """Write the kernel set as JSON with full-precision decimal entries; the
+    nodes and weights are written only for a shifted set."""
     doc = {
         "scheme": {"offsets": list(ks.scheme.offsets), "r": ks.scheme.r},
         "generator": ks.gen.descriptor(),
@@ -277,26 +276,18 @@ def kernel_doc(ks: KernelSet) -> dict:
     if (ks.epsilons, ks.weights) != _TWO_SIDED:
         doc["epsilons"] = list(ks.epsilons)
         doc["weights"] = list(ks.weights)
-    return doc
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
-def kernels_from_doc(doc: dict) -> KernelSet:
-    """Inverse of kernel_doc; nodes read from the document are checked as
-    for any shifted set."""
+def load_kernels(path) -> KernelSet:
+    """The kernel set save_kernels wrote; nodes read from the file are
+    checked as for any shifted set."""
+    with open(path) as fh:
+        doc = json.load(fh)
     gen = generator_from_descriptor(doc["generator"])
     scheme = SamplingScheme(tuple(doc["scheme"]["offsets"]), doc["scheme"]["r"])
     return KernelSet(gen, scheme, np.array(doc["A"]), np.array(doc["B"]),
                      doc.get("epsilons", _TWO_SIDED[0]),
                      doc.get("weights", _TWO_SIDED[1]))
-
-
-def save_kernels(ks: KernelSet, path):
-    """Write the kernel set as JSON with full-precision decimal entries."""
-    with open(path, "w") as fh:
-        json.dump(kernel_doc(ks), fh, indent=1)
-        fh.write("\n")
-
-
-def load_kernels(path) -> KernelSet:
-    with open(path) as fh:
-        return kernels_from_doc(json.load(fh))

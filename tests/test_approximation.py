@@ -95,8 +95,6 @@ def test_lp_error_validation(kernels_quartic_r1):
     with pytest.raises(ValueError):
         lp_error(kernels_quartic_r1, f, 2.0, p=0.5)
     with pytest.raises(ValueError):
-        lp_error(kernels_quartic_r1, f, 2.0, interval=(1.0, 1.0))
-    with pytest.raises(ValueError):
         lp_error(kernels_quartic_r1, f, 2.0, quad_n=0)
 
 

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -351,9 +352,44 @@ def test_save_load_round_trip(tmp_path, kernels_hermite):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_load_kernels_refuses_bad_files(tmp_path, pred_quartic_r1):
+    path = tmp_path / "prediction.json"
+    save_kernels(pred_quartic_r1, path)
+    doc = json.loads(path.read_text())
+    cases = [("epsilons", [1, 2, 3, 4], ValueError,
+              "eps0 = 1.0 < rho = 4: shifted kernels would not be causal"),
+             ("A", None, KeyError, "'A'"),
+             ("generator", {"kind": "bspline", "order": 4.5}, ValueError,
+              "B-spline order must be an integer >= 1, got 4.5"),
+             ("generator", {"kind": "tabulated", "step": 0.5, "values": [0.0, 1.0]},
+              ValueError, "unknown generator kind 'tabulated'"),
+             # int() used to truncate r to 1 and read "1" as 1
+             ("scheme", {**doc["scheme"], "r": 1.9}, ValueError,
+              "derivative count must be a positive integer, got 1.9"),
+             ("scheme", {**doc["scheme"], "r": "1"}, ValueError,
+              "derivative count must be a positive integer, got '1'")]
+    for key, value, error, message in cases:
+        bad = dict(doc)
+        if value is None:
+            del bad[key]
+        else:
+            bad[key] = value
+        path.write_text(json.dumps(bad))
+        with pytest.raises(error) as info:
+            load_kernels(path)
+        assert str(info.value) == message
+
+
 def test_zero_row_validation(q4, scheme_quartic_r1, kernels_quartic_r1):
     from pnspredict.kernels import KernelSet
-    A = kernels_quartic_r1.A.copy()
-    A[2, 1] = 0.5   # forbidden row for s = 0
-    with pytest.raises(ValueError):
-        KernelSet(q4, scheme_quartic_r1, A, kernels_quartic_r1.B)
+    # forbidden rows for s = 0; the kernels would ignore the 1e-12 entry,
+    # but save_kernels would write it back
+    for entry in (0.5, 1e-12):
+        A = kernels_quartic_r1.A.copy()
+        A[2, 1] = entry
+        with pytest.raises(ValueError, match="rows s\\+1..rho-1 of A"):
+            KernelSet(q4, scheme_quartic_r1, A, kernels_quartic_r1.B)
+        B = kernels_quartic_r1.B.copy()
+        B[0, 1] = entry
+        with pytest.raises(ValueError, match="rows 0..s of B"):
+            KernelSet(q4, scheme_quartic_r1, kernels_quartic_r1.A, B)
