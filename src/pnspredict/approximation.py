@@ -41,13 +41,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestSignal:
-    """A named signal with derivative evaluators and a smoothness tag."""
+    """A named signal with derivative evaluators and the window (a, b)
+    where lp_error and the predict traces read it."""
 
     __test__ = False   # keep pytest collection away from the Test prefix
 
     name: str
     derivs: tuple
-    smoothness: str = "smooth"
+    interval: tuple = (-8.0, 10.0)
 
     def eval(self, t, i: int = 0):
         if not 0 <= i < len(self.derivs):
@@ -88,9 +89,9 @@ def builtin_signal(name: str) -> TestSignal:
     """Built-in test signals: "f" (smooth Gaussian-windowed sine) and "g"
     (cubic with jump discontinuities at -1.5 and 3)."""
     if name in ("f", "smooth"):
-        return TestSignal("f", (_smooth_f, _smooth_f1, _smooth_f2), "smooth")
+        return TestSignal("f", (_smooth_f, _smooth_f1, _smooth_f2))
     if name in ("g", "jump"):
-        return TestSignal("g", (_jump_g,), "jump")
+        return TestSignal("g", (_jump_g,), (-4.0, 6.0))
     raise ValueError(f"unknown built-in signal {name!r}")
 
 
@@ -103,12 +104,6 @@ def approx_operator(kset, signal: TestSignal, W: float, t):
 
 # Errors below this are rounding noise: relative changes and slopes mean nothing.
 _NOISE_FLOOR = 1e3 * np.finfo(float).eps
-
-
-def _default_interval(signal: TestSignal):
-    if signal.smoothness == "jump":
-        return (-4.0, 6.0)
-    return (-8.0, 10.0)
 
 
 def _simpson(vals: np.ndarray, h: float) -> float:
@@ -145,8 +140,8 @@ def lp_error(kset, signal: TestSignal, W: float, p: float = 2.0,
              quad_n: int = None) -> float:
     """L^p norm of S_W f - f by composite Simpson quadrature.
 
-    The interval is the signal's mass window extended by one kernel
-    support width; quad_n is the number of Simpson panels.  When
+    The interval is the signal's window (signal.interval) extended by one
+    kernel support width; quad_n is the number of Simpson panels.  When
     quad_n is omitted the rule starts at step 1/(50 W) and refines until
     doubling changes the result by under 0.1 percent; when three doublings
     do not get there, the last value is returned with a RuntimeWarning
@@ -156,7 +151,7 @@ def lp_error(kset, signal: TestSignal, W: float, p: float = 2.0,
         raise ValueError("W must be positive")
     if not (isfinite(p) and p >= 1):
         raise ValueError("p must be a finite real >= 1")
-    a, b = _default_interval(signal)
+    a, b = signal.interval
     ext = (kset.support[1] - kset.support[0]) / W
     a -= ext
     b += ext

@@ -18,8 +18,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .approximation import (TestSignal, _default_interval, approx_operator,
-                            builtin_signal, convergence_study, lp_error)
+from .approximation import (TestSignal, approx_operator, builtin_signal,
+                            convergence_study, lp_error)
 from .generators import (BSplineGenerator, DaubechiesGenerator,
                          stability_bounds)
 from .kernels import (KernelSet, SingularSamplePointError, build_kernels,
@@ -84,7 +84,6 @@ _KEYS = {
     "prediction.epsilons": (_number_list, None),
     "prediction.eps0": (float, None),
     "prediction.spacing": (float, None),
-    "prediction.weights": (_number_list, None),
     "signal.name": (str, None),
     "signal.expr": (str, None),
     "signal.file": (str, None),
@@ -97,16 +96,28 @@ _OFFSET_FAMILIES = {"equally_spaced": SamplingScheme.equally_spaced,
                     "chebyshev": SamplingScheme.chebyshev}
 
 
+# lp_error's finest Simpson pass takes about 400 W (b - a) points (25 W (b - a)
+# panels, doubled three times, two points each).  A file is scored over its
+# whole span, so a span that would put this above 2^22 points (32 MB an
+# array) is refused.
+_QUAD_POINTS = 1 << 22
+
+
 @dataclass
 class RunConfig:
     gen: object
     scheme: SamplingScheme
     epsilons: tuple
-    weights: tuple
     signal: TestSignal
     W_list: tuple
     p: float
     source: str
+
+    @property
+    def weights(self):
+        """The nodes' Lagrange weights, None without nodes."""
+        return None if self.epsilons is None else tuple(
+            lagrange_weights(self.epsilons))
 
 
 def _resolve_generator(v: dict, fail):
@@ -163,8 +174,8 @@ def _resolve_scheme(v: dict, fail, gen):
 
 
 def _resolve_prediction(v: dict, fail, scheme: SamplingScheme):
-    eps, eps0, d, weights = (v["prediction.epsilons"], v["prediction.eps0"],
-                             v["prediction.spacing"], v["prediction.weights"])
+    eps, eps0, d = (v["prediction.epsilons"], v["prediction.eps0"],
+                    v["prediction.spacing"])
     if eps is not None and eps0 is not None:
         fail("prediction.eps0",
              "give either prediction.epsilons or prediction.eps0, not both")
@@ -172,9 +183,7 @@ def _resolve_prediction(v: dict, fail, scheme: SamplingScheme):
         fail("prediction.spacing", "prediction.spacing applies only with "
              "prediction.eps0")
     if eps is None and eps0 is None:
-        if weights is not None:
-            fail("prediction.weights", "weights given without epsilon nodes")
-        return None, None
+        return None
     try:
         if eps is None:
             if d is None:
@@ -185,12 +194,11 @@ def _resolve_prediction(v: dict, fail, scheme: SamplingScheme):
             if eps0 <= 0:
                 fail("prediction.eps0", "eps0 must be positive")
             eps = tuple(eps0 + p * d for p in range(scheme.rho))
-        if weights is None:
-            weights = tuple(lagrange_weights(eps))
+        lagrange_weights(eps)   # refuses unordered or zero nodes
     except ValueError as exc:
         fail("prediction.epsilons" if eps0 is None else "prediction.eps0",
              str(exc))
-    return tuple(eps), tuple(weights)
+    return tuple(eps)
 
 
 def _signal_from_file(path: str) -> TestSignal:
@@ -219,7 +227,7 @@ def _signal_from_file(path: str) -> TestSignal:
     def f(t):
         return np.interp(t, ts, vs, left=0.0, right=0.0)
 
-    return TestSignal(Path(path).stem, (f,), "tabulated")
+    return TestSignal(Path(path).stem, (f,), (float(ts[0]), float(ts[-1])))
 
 
 _EXPR_BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
@@ -280,7 +288,7 @@ def _signal_from_expr(expr: str) -> TestSignal:
         f(np.array([0.0, 0.5]))
     except (ArithmeticError, RecursionError, TypeError, ValueError) as exc:
         raise ConfigError(f"signal.expr failed to evaluate: {exc}")
-    return TestSignal("expr", (f,), "smooth")
+    return TestSignal("expr", (f,))
 
 
 _SIGNAL_READERS = {"signal.name": builtin_signal, "signal.expr": _signal_from_expr,
@@ -337,13 +345,20 @@ def _resolve_config(text: str, source: str) -> RunConfig:
 
     gen = _resolve_generator(v, fail)
     scheme = _resolve_scheme(v, fail, gen)
-    eps, weights = _resolve_prediction(v, fail, scheme)
+    eps = _resolve_prediction(v, fail, scheme)
     signal = _resolve_signal(v, fail, scheme)
     if any(w <= 0 for w in v["W.list"]):
         fail("W.list", "all W values must be positive")
+    if v["signal.file"] is not None:
+        W = max(v["W.list"], default=0.0)
+        span = signal.interval[1] - signal.interval[0]
+        if 400.0 * W * span > _QUAD_POINTS:
+            fail("signal.file", f"signal.file {v['signal.file']} spans {span:g} in "
+                 f"t; at W = {W:g} the error quadrature would take about "
+                 f"{400.0 * W * span:.2g} points, more than {_QUAD_POINTS}")
     if v["error.p"] < 1:
         fail("error.p", "error.p must be >= 1")
-    return RunConfig(gen=gen, scheme=scheme, epsilons=eps, weights=weights,
+    return RunConfig(gen=gen, scheme=scheme, epsilons=eps,
                      signal=signal, W_list=v["W.list"], p=v["error.p"],
                      source=source)
 
@@ -377,8 +392,6 @@ def _write_resolved(cfg: RunConfig, out: Path):
     if cfg.epsilons is not None:
         lines.append("prediction.epsilons = "
                      + ", ".join(repr(e) for e in cfg.epsilons))
-        lines.append("prediction.weights = "
-                     + ", ".join(repr(a) for a in cfg.weights))
     lines += [f"signal.name = {cfg.signal.name}",
               "W.list = " + ", ".join(repr(w) for w in cfg.W_list),
               f"error.p = {cfg.p!r}"]
@@ -406,7 +419,7 @@ def _require_prediction(cfg: RunConfig, ks: KernelSet):
         raise ConfigError(f"{cfg.source}: prediction.epsilons (or "
                           "prediction.eps0 + prediction.spacing) is required")
     try:
-        return modify_kernels(ks, cfg.epsilons, cfg.weights)
+        return modify_kernels(ks, cfg.epsilons)
     except ValueError as exc:
         raise ConfigError(f"{cfg.source}: {exc}")
 
@@ -573,7 +586,7 @@ def cmd_predict(cfg, out, grid, quiet):
     _echo(quiet, f"past samples per evaluation <= "
                  f"{cfg.scheme.rho * bound} (|window| <= {bound})")
     _echo(quiet, f"reproduction order kappa = {reproduction_order(ps).kappa}")
-    a, b = _default_interval(cfg.signal)
+    a, b = cfg.signal.interval
     errors = []
     for W in cfg.W_list:
         ts = np.linspace(a, b, grid)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, factorial, floor, sqrt
+from math import ceil, comb, factorial, sqrt
 
 import numpy as np
 
@@ -56,12 +56,6 @@ class Generator:
     def eval(self, t, s: int = 0):
         """phi^(s)(t): piece(floor(t), t - floor(t), s) on [0, mu), zero off
         it.  Values at the knots are right-hand limits; NaN stays NaN."""
-        if isinstance(t, float) and t == t:
-            # one point, read as the array path reads it, without the arrays
-            if not 0.0 <= t < self.mu:
-                return 0.0
-            q = floor(t)
-            return float(self.piece(q, np.float64(t - q), s))
         arr = np.asarray(t)
         out = np.empty(arr.shape)
         flat, flat_out = arr.reshape(-1), out.reshape(-1)
@@ -283,7 +277,6 @@ class DaubechiesGenerator(Generator):
         self.approx_order = self.d    # the wavelet's d vanishing moments
 
     def eval(self, t, s: int = 0):
-        # refused before the scalar path can return 0.0 off the support
         if s != 0:
             raise ValueError("Daubechies generator exposes function values only")
         return super().eval(t, s)

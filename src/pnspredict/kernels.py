@@ -11,20 +11,23 @@ matrix inverse gives the inverse polyphase matrix A + B z^{-1} exactly
 are compactly supported on [-rho+s+1, mu+s] and give perfect reconstruction
 of every element of V(phi) from its derivative samples.
 
-A kernel set may also carry nodes eps_p and weights a_p, which shift it
-into the past (see prediction.modify_kernels):
+A kernel set may also carry nodes eps_p, which shift it into the past
+(see prediction.modify_kernels):
 
     Theta~_ni(t) = sum_p a_p Theta_ni(t - eps_p),
 
-again a finite table of shifted copies of phi.  The two-sided kernels are
-the case eps = (0,), a = (1,).  A set keeps only its coefficient rows and
-its nodes; the term tables are derived from them.
+again a finite table of shifted copies of phi.  The weights a_p are the
+nodes' Lagrange weights (lagrange_weights), so the nodes fix them.  The
+two-sided kernels are the case eps = (0,), a = (1,).  A set keeps only its
+coefficient rows and its nodes; the weights and term tables are derived
+from them.
 """
 
 from __future__ import annotations
 
 import json
-from math import ceil, floor, fsum
+from fractions import Fraction
+from math import ceil, floor
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .polyphase import CIS_THRESHOLD, LaurentMatrix, SamplingScheme, det_on_circ
 __all__ = [
     "SingularSamplePointError",
     "KernelSet",
+    "lagrange_weights",
     "invert_polyphase",
     "build_kernels",
     "reconstruct",
@@ -84,39 +88,46 @@ def invert_polyphase(psi: LaurentMatrix) -> LaurentMatrix | None:
     return None
 
 
-# Nodes and weights of the unshifted, two-sided kernels.
-_TWO_SIDED = ((0.0,), (1.0,))
+# Nodes of the unshifted, two-sided kernels, whose one weight is 1.
+_TWO_SIDED = (0.0,)
 
 
-def _check_causal_nodes(rho: int, eps: tuple, wts: tuple):
-    """rho strictly increasing nodes from eps_0 >= rho whose weights solve
-    the moment equation sum_p a_p (-eps_p)^j = delta_{j0}, j < rho."""
-    if len(eps) != rho:
-        raise ValueError(f"need exactly rho = {rho} epsilon nodes, got {len(eps)}")
-    if len(wts) != len(eps):
-        raise ValueError("weights and epsilons must have equal length")
+def lagrange_weights(epsilons) -> list:
+    """Weights a_p = prod_{q != p} eps_q / (eps_q - eps_p).
+
+    The unique solution of sum_p a_p (-eps_p)^j = delta_{j0} for
+    j = 0..len-1.  Nodes must be strictly increasing and nonzero.
+    The products are carried in exact rational arithmetic, so nodes
+    whose weights are representable (integers in particular) come out
+    without rounding error, and every other weight is rounded once.
+    """
+    eps = [float(e) for e in epsilons]
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon nodes must be strictly increasing")
-    if eps[0] < rho:
-        raise ValueError(
-            f"eps0 = {eps[0]} < rho = {rho}: shifted kernels would not be causal")
-    for j in range(rho):
-        resid = fsum(wts[p] * (-eps[p]) ** j for p in range(rho)) - (j == 0)
-        scale = max(abs(wts[p]) * eps[p] ** j for p in range(rho))
-        if abs(resid) > 1e-9 * max(scale, 1.0):
-            raise ValueError(f"weights violate the moment equation at degree {j}")
+    if any(e == 0.0 for e in eps):
+        raise ValueError("epsilon nodes must be nonzero")
+    nodes = [Fraction(e) for e in eps]
+    out = []
+    for p, node in enumerate(nodes):
+        w = Fraction(1)
+        for q, other in enumerate(nodes):
+            if q != p:
+                w *= other / (other - node)
+        out.append(float(w))
+    return out
 
 
 class KernelSet:
     """Compactly supported interpolating kernels for one scheme.
 
-    With nodes eps and weights a other than the default (0,), (1,), the
-    kernels are the causal sum_p a_p Theta_ni(t - eps_p); such nodes must
-    pass `_check_causal_nodes` (ValueError otherwise).
+    With nodes eps other than the default (0,), the kernels are the causal
+    sum_p a_p Theta_ni(t - eps_p), with a_p the nodes' Lagrange weights;
+    such nodes must be rho strictly increasing ones from eps_0 >= rho
+    (ValueError otherwise).
     """
 
     def __init__(self, gen, scheme: SamplingScheme, A: np.ndarray, B: np.ndarray,
-                 epsilons=(0.0,), weights=(1.0,)):
+                 epsilons=_TWO_SIDED):
         rho = scheme.rho
         s = scheme.s
         if s is None:
@@ -131,9 +142,15 @@ class KernelSet:
         if B[:s + 1].any():
             raise ValueError("rows 0..s of B must vanish")
         eps = tuple(float(e) for e in epsilons)
-        wts = tuple(float(a) for a in weights)
-        if (eps, wts) != _TWO_SIDED:
-            _check_causal_nodes(rho, eps, wts)
+        wts = (1.0,)
+        if eps != _TWO_SIDED:
+            if len(eps) != rho:
+                raise ValueError(f"need exactly rho = {rho} epsilon nodes, "
+                                 f"got {len(eps)}")
+            wts = tuple(lagrange_weights(eps))  # refuses unordered nodes
+            if eps[0] < rho:
+                raise ValueError(f"eps0 = {eps[0]} < rho = {rho}: shifted "
+                                 "kernels would not be causal")
         self.gen = gen
         self.scheme = scheme
         self.A = A
@@ -266,14 +283,15 @@ def reconstruct(ks: KernelSet, samples: dict, t):
 
 def save_kernels(ks: KernelSet, path):
     """Write the kernel set as JSON with full-precision decimal entries; the
-    nodes and weights are written only for a shifted set."""
+    nodes are written only for a shifted set, and its weights with them as
+    information (load_kernels derives them from the nodes)."""
     doc = {
         "scheme": {"offsets": list(ks.scheme.offsets), "r": ks.scheme.r},
         "generator": ks.gen.descriptor(),
         "A": [[float(v) for v in row] for row in ks.A],
         "B": [[float(v) for v in row] for row in ks.B],
     }
-    if (ks.epsilons, ks.weights) != _TWO_SIDED:
+    if ks.epsilons != _TWO_SIDED:
         doc["epsilons"] = list(ks.epsilons)
         doc["weights"] = list(ks.weights)
     with open(path, "w") as fh:
@@ -283,11 +301,10 @@ def save_kernels(ks: KernelSet, path):
 
 def load_kernels(path) -> KernelSet:
     """The kernel set save_kernels wrote; nodes read from the file are
-    checked as for any shifted set."""
+    checked, and their weights derived, as for any shifted set."""
     with open(path) as fh:
         doc = json.load(fh)
     gen = generator_from_descriptor(doc["generator"])
     scheme = SamplingScheme(tuple(doc["scheme"]["offsets"]), doc["scheme"]["r"])
     return KernelSet(gen, scheme, np.array(doc["A"]), np.array(doc["B"]),
-                     doc.get("epsilons", _TWO_SIDED[0]),
-                     doc.get("weights", _TWO_SIDED[1]))
+                     doc.get("epsilons", _TWO_SIDED))

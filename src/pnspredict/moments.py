@@ -89,15 +89,16 @@ def reproduction_order(ks, tol: float = 1e-8) -> MomentReport:
     A two-sided set on a CIS is exact on V(phi), so it reproduces what the
     shifts of phi do: kappa = gen.approx_order.  The causal set's W = 1
     operator is sum_p a_p (S f)(t - eps_p), which keeps degree j when
-    sum_p a_p (-eps_p)^j = delta_j0: KernelSet checks this for j < rho, and
-    at j = rho the sum is -prod eps_p != 0, so kappa = min(approx_order, rho).
+    sum_p a_p (-eps_p)^j = delta_j0: the weights KernelSet derives from the
+    nodes solve this for j < rho by construction, and at j = rho the sum is
+    -prod eps_p != 0, so kappa = min(approx_order, rho).
 
     No tolerance decides kappa; tol only sets the guard.  A monomial check
     above max(100 tol, 1e-6) below kappa warns (RuntimeWarning), as it does
     for kernels that do not come from a CIS.
     """
     kappa = ks.gen.approx_order
-    if (ks.epsilons, ks.weights) != _TWO_SIDED:
+    if ks.epsilons != _TWO_SIDED:
         kappa = min(kappa, ks.scheme.rho)
     grid = np.linspace(0.0, ks.scheme.rho, 65)
     defects = moment_defects(ks, kappa, grid)

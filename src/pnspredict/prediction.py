@@ -10,18 +10,18 @@ moves the kernel support into (0, oo), so the operator
                   f^{(i)}((x_n + rho l)/W) Theta~_ni(W t - rho l)
 
 uses only samples taken strictly before t.  The weights a_p solve a
-Vandermonde system that preserves the polynomial reproduction order.
-Theta~ is again a KernelSet (one carrying the nodes and weights), and S~_W
-is the same sampling series as the two-sided operator, read from past
-bursts only.
+Vandermonde system that preserves the polynomial reproduction order, so
+the nodes fix them (lagrange_weights, kept with KernelSet in `kernels` and
+re-exported here).  Theta~ is again a KernelSet (one carrying the nodes),
+and S~_W is the same sampling series as the two-sided operator, read from
+past bursts only.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, floor, prod
 
-from .kernels import KernelSet, _periods, _series_eval
+from .kernels import KernelSet, _periods, _series_eval, lagrange_weights
 
 __all__ = [
     "lagrange_weights",
@@ -31,31 +31,6 @@ __all__ = [
     "window_bound",
     "predict",
 ]
-
-
-def lagrange_weights(epsilons) -> list:
-    """Weights a_p = prod_{q != p} eps_q / (eps_q - eps_p).
-
-    The unique solution of sum_p a_p (-eps_p)^j = delta_{j0} for
-    j = 0..len-1.  Nodes must be strictly increasing and nonzero.
-    The products are carried in exact rational arithmetic, so nodes
-    whose weights are representable (integers in particular) come out
-    without rounding error.
-    """
-    eps = [float(e) for e in epsilons]
-    if any(b <= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilon nodes must be strictly increasing")
-    if any(e == 0.0 for e in eps):
-        raise ValueError("epsilon nodes must be nonzero")
-    nodes = [Fraction(e) for e in eps]
-    out = []
-    for p, node in enumerate(nodes):
-        w = Fraction(1)
-        for q, other in enumerate(nodes):
-            if q != p:
-                w *= other / (other - node)
-        out.append(float(w))
-    return out
 
 
 def equally_spaced_weights(eps0: float, d: float, rho: int) -> list:
@@ -78,16 +53,18 @@ def equally_spaced_weights(eps0: float, d: float, rho: int) -> list:
 
 
 def modify_kernels(ks: KernelSet, epsilons, weights=None) -> KernelSet:
-    """Shift the kernels into the past; weights default to lagrange_weights.
+    """Shift the kernels into the past, with the nodes' Lagrange weights.
 
     The result is built from the A and B of ks, so nodes ks already carries
     are replaced, not compounded.  It needs rho strictly increasing nodes
-    with eps_0 >= rho and weights that solve the moment equation
-    sum_p a_p (-eps_p)^j = delta_{j0}, j < rho; ValueError otherwise.
+    with eps_0 >= rho; ValueError otherwise.  `weights`, when given, must
+    be exactly the weights the nodes fix (ValueError otherwise).
     """
-    if weights is None:
-        weights = lagrange_weights(epsilons)
-    return KernelSet(ks.gen, ks.scheme, ks.A, ks.B, epsilons, weights)
+    out = KernelSet(ks.gen, ks.scheme, ks.A, ks.B, epsilons)
+    if weights is not None and tuple(float(a) for a in weights) != out.weights:
+        raise ValueError("weights must be the Lagrange weights of the nodes, "
+                         f"{list(out.weights)}")
+    return out
 
 
 def past_window(scheme, ps: KernelSet, W: float, t: float) -> set:

@@ -16,9 +16,11 @@ def random_spline(gen, coefs):
     def deriv(s):
         def f(t):
             t = np.asarray(t, dtype=float)
+            # phi^(s)(t - k) for every k in one call, along the last axis
+            vals = gen.eval(np.subtract.outer(t, np.arange(len(coefs))), s)
             out = np.zeros_like(t)
             for k, c in enumerate(coefs):
-                out = out + c * gen.eval(t - k, s)
+                out = out + c * vals[..., k]
             return out
         return f
 

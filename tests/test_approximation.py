@@ -41,7 +41,8 @@ def test_builtin_jump_signal_values():
 def test_builtin_aliases_and_unknown():
     assert builtin_signal("smooth").name == "f"
     assert builtin_signal("jump").name == "g"
-    assert builtin_signal("g").smoothness == "jump"
+    assert builtin_signal("g").interval == (-4.0, 6.0)
+    assert builtin_signal("f").interval == (-8.0, 10.0)
     with pytest.raises(ValueError):
         builtin_signal("h")
 

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import pnspredict
-from pnspredict.cli import (_KEYS, DEFAULT_W, EXIT_CONFIG, EXIT_NOT_CIS,
-                            EXIT_OK, ConfigError, load_config, main,
+from pnspredict.cli import (_KEYS, _TABLE1_BUILTIN, DEFAULT_W, EXIT_CONFIG,
+                            EXIT_NOT_CIS, EXIT_OK, ConfigError, RunConfig,
+                            _resolve_config, load_config, main,
                             parse_config_text, write_csv)
 from pnspredict.prediction import lagrange_weights
 
@@ -100,7 +102,9 @@ def test_check_cis_accepts_quartic(runner, quartic_cfg, tmp_path):
     assert (out / "resolved.cfg").exists()
     resolved = (out / "resolved.cfg").read_text()
     assert "scheme.offsets = 0.0, 0.25, 0.5, 0.75" in resolved
-    assert "prediction.weights = 969.0, -2736.0, 2584.0, -816.0" in resolved
+    # the nodes fix the weights, so resolved.cfg records the nodes only
+    assert "prediction.epsilons = 4.0, 4.25, 4.5, 4.75" in resolved
+    assert "weights" not in resolved
 
 
 def test_check_cis_rejects_split_cells(runner, tmp_path):
@@ -508,8 +512,8 @@ CONFIG_ERRORS = {
     "epsilons_and_eps0": ("predict", _MODE + "prediction.epsilons = 4, 5, 6, 7\n"
                           "prediction.eps0 = 4\n", 5,
                           "give either prediction.epsilons or prediction.eps0"),
-    "weights_without_nodes": ("predict", _MODE + "prediction.weights = 1, 2\n", 4,
-                              "weights given without epsilon nodes"),
+    "weights_key_removed": ("predict", _MODE + "prediction.weights = 1, 2\n", 4,
+                            "unknown key 'prediction.weights'"),
     "eps0_without_spacing": ("predict", _MODE + "prediction.eps0 = 4\n", 4,
                              "prediction.spacing is required with prediction.eps0"),
     "float_not_a_number": ("convergence", _MODE + "error.p = two\n", 4,
@@ -565,6 +569,11 @@ CONFIG_ERRORS = {
     "inf_in_signal_file": ("check-cis", _MODE + "signal.file = {tmp}/inf.csv\n", 4,
                            "signal.file {tmp}/inf.csv holds a value that is not "
                            "finite in data row 3: t = inf, f = 3"),
+    # a file is scored over its whole span, and lp_error's cost grows with it
+    "long_signal_file": ("predict", _MODE + "signal.file = {tmp}/long.csv\n", 4,
+                         "signal.file {tmp}/long.csv spans 10000 in t; at W = 30 "
+                         "the error quadrature would take about 1.2e+08 points, "
+                         "more than 4194304"),
 }
 
 
@@ -575,6 +584,7 @@ def _write_signal_files(tmp_path):
     (tmp_path / "unsorted.csv").write_text("t,v\n1,1\n0,0\n2,4\n")
     (tmp_path / "nan.csv").write_text("t,v\n0,1\n0.5,nan\n1,2\n")
     (tmp_path / "inf.csv").write_text("t,v\n0,1\n1,2\ninf,3\n")
+    (tmp_path / "long.csv").write_text("t,v\n0,0\n10000,0\n")
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
@@ -605,15 +615,55 @@ def test_header_only_signal_file_is_one_line_on_stderr(tmp_path):
         f"config error: {cfg}:4: signal.file {tmp_path}/header.csv has no data rows"]
 
 
+def _assert_same_run(again, cfg):
+    """Every RunConfig field but the source agrees (generators by descriptor)."""
+    for field in fields(RunConfig):
+        want, got = getattr(cfg, field.name), getattr(again, field.name)
+        if field.name == "gen":
+            want, got = want.descriptor(), got.descriptor()
+        if field.name != "source":
+            assert got == want, field.name
+
+
 @pytest.mark.parametrize("name", sorted(SHIPPED_EXITS))
 def test_resolved_cfg_reloads_to_the_same_run(runner, tmp_path, name):
     path = CONFIGS / f"{name}.cfg"
     runner.invoke(main, ["check-cis", "--config", str(path), "--out",
                          str(tmp_path), "--quiet"])
-    cfg, again = load_config(str(path)), load_config(str(tmp_path / "resolved.cfg"))
-    assert again.gen.descriptor() == cfg.gen.descriptor()
-    for field in ("scheme", "epsilons", "weights", "W_list", "p"):
-        assert getattr(again, field) == getattr(cfg, field), field
+    _assert_same_run(load_config(str(tmp_path / "resolved.cfg")),
+                     load_config(str(path)))
+
+
+def test_table1_builtin_resolved_cfg_reloads_to_the_same_run(runner, tmp_path):
+    # resolved.cfg records the nodes only; they give back the same weights
+    res = runner.invoke(main, ["table1", "--out", str(tmp_path), "--quiet"])
+    assert res.exit_code == EXIT_OK, res.output
+    assert "weights" not in (tmp_path / "resolved.cfg").read_text()
+    _assert_same_run(load_config(str(tmp_path / "resolved.cfg")),
+                     _resolve_config(*_TABLE1_BUILTIN))
+
+
+def test_signal_file_is_scored_on_its_own_span(runner, tmp_path):
+    # One pulse tabulated on [15, 45] and the same rows moved by -29, a
+    # multiple of rho / W = 0.2: the sampling lattice moves with them, so
+    # the errors agree.  A fixed window (-8, 10) read the first as 0.0.
+    ts = 15.0 + np.arange(481) / 16.0
+    vs = np.exp(-(ts - 30.0) ** 2 / 16.0) * np.sin(2.0 * np.pi * (ts - 30.0) / 3.0)
+    errors = []
+    for shift in (0.0, -29.0):
+        data = tmp_path / f"pulse{shift:+g}.csv"
+        write_csv(data, ["t", "v"], zip((ts + shift).tolist(), vs.tolist()))
+        cfg = tmp_path / "pulse.cfg"
+        cfg.write_text(QUARTIC_CFG.replace("signal.name = f",
+                                           f"signal.file = {data}"))
+        assert load_config(str(cfg)).signal.interval == (15.0 + shift, 45.0 + shift)
+        out = tmp_path / f"out{shift:+g}"
+        res = runner.invoke(main, ["predict", "--config", str(cfg), "--out",
+                                   str(out), "--quiet"])
+        assert res.exit_code == EXIT_OK, res.output
+        errors.append(float((out / "errors.csv").read_text().split(",")[-1]))
+    assert errors[0] > 0.0
+    assert errors[0] == pytest.approx(errors[1], rel=1e-9)
 
 
 def test_readme_names_every_public_name():

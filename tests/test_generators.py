@@ -185,7 +185,8 @@ def test_daubechies_rejects_derivatives(db3):
 @pytest.mark.parametrize("gen", [BSplineGenerator(m) for m in range(1, 7)]
                          + [DaubechiesGenerator(d) for d in (2, 3, 4)], ids=repr)
 def test_scalar_eval_matches_the_array_path(gen):
-    # a float takes its own path; it must agree bit for bit, sign of zero included
+    # a float is read as a 1-point array; it must agree bit for bit with the
+    # same point in a batch, sign of zero included
     ts = np.concatenate([np.random.default_rng(7).uniform(-1.0, gen.mu + 1.0, 2000),
                          np.arange(-1.0, gen.mu + 2.0), [-0.0, np.nextafter(gen.mu, 0),
                                                           -np.inf, np.inf]])

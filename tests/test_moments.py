@@ -203,6 +203,26 @@ def test_causal_sets_read_the_theoretical_kappa(case):
     assert rep.cross_defects[want] >= 1e-4
 
 
+def test_two_sided_set_with_rho_below_the_order_keeps_it():
+    # Q2 sampled once per unit at 0 is a CIS with Psi = z, rho = 1 and
+    # approx_order = 2: its kernel is the hat phi(t + 1), and linear
+    # interpolation reproduces lines, though one causal node would keep only
+    # constants.  The shift -1 lies outside KernelSet's cell convention
+    # (B row 0 must vanish), so the set is assembled by hand.
+    ks = object.__new__(KernelSet)
+    ks.gen = BSplineGenerator(2)
+    ks.scheme = SamplingScheme((0.0,), 1)
+    ks.A, ks.B = np.zeros((1, 1)), np.ones((1, 1))
+    ks.epsilons, ks.weights = (0.0,), (1.0,)
+    ks.support = (-1.0, 1.0)
+    ks._k0, ks._coef = -1, np.ones((1, 1, 1))
+    assert ks.kernel(0, 0, 0.0) == 1.0 and ks.kernel(0, 0, 1.0) == 0.0
+    rep = reproduction_order(ks)
+    assert rep.kappa == ks.gen.approx_order == 2 > ks.scheme.rho
+    assert max(rep.cross_defects[:2]) <= 1e-12
+    assert rep.cross_defects[2] > 0.1
+
+
 def test_kernels_off_a_cis_trip_the_guard(kernels_quartic_r1):
     ks = kernels_quartic_r1
     bent = KernelSet(ks.gen, ks.scheme, 1.01 * ks.A, ks.B)

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,13 +280,15 @@ def zak_factorization_error(gen, scheme, n_grid):
     psi = build_polyphase(gen, scheme)
     rho = scheme.rho
     t, d = scheme.row_points, scheme.row_derivs
+    # every x and j reads row i at the same points t_i - k: evaluate each once
+    phi = lru_cache(maxsize=None)(gen.eval)
     lhs, rhs = [], []
     for x in np.arange(n_grid) / n_grid:
         G = np.zeros((rho, rho), dtype=complex)
         for i in range(rho):
             for j in range(rho):
                 G[i, j] = zak_transform(
-                    lambda u: gen.eval(float(u), int(d[i])),
+                    lambda u: phi(float(u), int(d[i])),
                     1.0, float(t[i]), (-x + j) / rho, 8)
         B = np.exp(2j * np.pi * np.outer(np.arange(rho), x - np.arange(rho)) / rho)
         lhs.append(rho ** rho * psi.det(x))

@@ -1,10 +1,15 @@
+import inspect
+import json
+from fractions import Fraction
+from math import fsum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnspredict.approximation import TestSignal, approx_operator, builtin_signal
-from pnspredict.kernels import load_kernels, save_kernels
+from pnspredict.kernels import KernelSet, load_kernels, save_kernels
 from pnspredict.prediction import (equally_spaced_weights, lagrange_weights,
                                    modify_kernels, past_window, predict,
                                    window_bound)
@@ -41,16 +46,24 @@ def test_weight_routes_agree(eps0, d, rho):
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=0.25, max_value=30.0), min_size=2,
-                max_size=6, unique=True))
+                max_size=12, unique=True))
 def test_weights_annihilate_powers(nodes):
+    # The exact weights solve sum_p a_p (-eps_p)^j = delta_j0 for j < rho.
+    # lagrange_weights rounds each exact weight once, and each term below
+    # rounds twice more (the power, taken in Fraction and rounded once, and
+    # the product), so term_p = a_p (-eps_p)^j (1 + t_p), |t_p| <= gamma_3.
+    # fsum rounds the exact sum of the terms once more.  Hence
+    #   |fsum - delta_j0| <= gamma_3 (1 + u) / (1 - gamma_3) sum|term_p| + u
+    #                     <= 4 u sum|term_p| + u.
     nodes = sorted(nodes)
     if min(b - a for a, b in zip(nodes, nodes[1:])) < 1e-3:
         return
+    u = np.finfo(float).eps / 2
     w = lagrange_weights(nodes)
     for j in range(len(nodes)):
-        total = sum(a * (-e) ** j for a, e in zip(w, nodes))
-        scale = max(1.0, max(abs(a * (-e) ** j) for a, e in zip(w, nodes)))
-        assert abs(total - (1.0 if j == 0 else 0.0)) < 1e-9 * scale
+        terms = [a * float(Fraction(-e) ** j) for a, e in zip(w, nodes)]
+        bound = 4 * u * fsum(abs(v) for v in terms) + u
+        assert abs(fsum(terms) - (j == 0)) <= bound, j
 
 
 def test_weight_validation():
@@ -166,6 +179,34 @@ def test_scheme_rejects_noninterpolatory_weights(kernels_quartic_r1):
                        (1.0, 1.0, 1.0, 1.0))
 
 
+def test_weights_one_ulp_off_are_refused(kernels_quartic_r1):
+    # the nodes fix the weights: anything but their exact Lagrange weights
+    # is refused, however close
+    nodes = (4.0, 4.25, 4.5, 4.75)
+    exact = lagrange_weights(nodes)
+    assert modify_kernels(kernels_quartic_r1, nodes, exact).weights == tuple(exact)
+    for p in range(len(nodes)):
+        for toward in (-np.inf, np.inf):
+            off = list(exact)
+            off[p] = float(np.nextafter(off[p], toward))
+            with pytest.raises(ValueError, match="Lagrange weights"):
+                modify_kernels(kernels_quartic_r1, nodes, off)
+
+
+def test_kernel_set_derives_its_weights(kernels_quartic_r1):
+    assert "weights" not in inspect.signature(KernelSet).parameters
+    ks = kernels_quartic_r1
+    assert ks.weights == (1.0,)
+    nodes = (4.1, 4.4, 4.7, 5.0)
+    shifted = KernelSet(ks.gen, ks.scheme, ks.A, ks.B, nodes)
+    assert shifted.weights == tuple(lagrange_weights(nodes))
+    for bad, message in [((4.0, 4.25, 4.5), "exactly rho = 4"),
+                         ((4.0, 4.5, 4.25, 4.75), "strictly increasing"),
+                         ((3.0, 4.0, 5.0, 6.0), "not be causal")]:
+        with pytest.raises(ValueError, match=message):
+            KernelSet(ks.gen, ks.scheme, ks.A, ks.B, bad)
+
+
 def test_save_load_round_trip(tmp_path, pred_hermite):
     path = tmp_path / "prediction.json"
     save_kernels(pred_hermite, path)
@@ -180,6 +221,16 @@ def test_save_load_round_trip(tmp_path, pred_hermite):
                                   pred_hermite.kernel(n, i, ts))
     save_kernels(clone, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_load_kernels_derives_the_weights_from_the_nodes(tmp_path, pred_hermite):
+    # the written weights are information: the nodes alone are read
+    path = tmp_path / "prediction.json"
+    save_kernels(pred_hermite, path)
+    doc = json.loads(path.read_text())
+    doc["weights"] = [1.0] * len(doc["weights"])
+    path.write_text(json.dumps(doc))
+    assert load_kernels(path).weights == pred_hermite.weights
 
 
 @settings(max_examples=25, deadline=None)
