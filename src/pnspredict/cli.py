@@ -109,6 +109,7 @@ class RunConfig:
     scheme: SamplingScheme
     epsilons: tuple
     signal: TestSignal
+    signal_entry: tuple     # (key, value) the signal was read from
     W_list: tuple
     p: float
     source: str
@@ -296,18 +297,21 @@ _SIGNAL_READERS = {"signal.name": builtin_signal, "signal.expr": _signal_from_ex
 
 
 def _resolve_signal(v: dict, fail, scheme: SamplingScheme):
+    """The signal and the (key, value) it was read from; the built-in f is
+    the default."""
     given = [key for key in _SIGNAL_READERS if v[key] is not None]
     if len(given) > 1:
         fail(given[1], "give only one of signal.name / signal.expr / signal.file")
-    key = given[0] if given else "scheme.r"     # the built-in f is the default
+    key, raw = (given[0], v[given[0]]) if given else ("signal.name", "f")
     try:
-        signal = _SIGNAL_READERS[key](v[key]) if given else builtin_signal("f")
+        signal = _SIGNAL_READERS[key](raw)
     except (ConfigError, ValueError) as exc:
         fail(key, str(exc))
     if scheme.r > len(signal.derivs):
-        fail(key, f"scheme needs {scheme.r} derivative channels but signal "
-             f"{signal.name!r} provides {len(signal.derivs)}")
-    return signal
+        # a default f that lacks channels is the fault of scheme.r
+        fail(key if given else "scheme.r", f"scheme needs {scheme.r} derivative "
+             f"channels but signal {signal.name!r} provides {len(signal.derivs)}")
+    return signal, (key, raw)
 
 
 def load_config(path: str) -> RunConfig:
@@ -346,7 +350,7 @@ def _resolve_config(text: str, source: str) -> RunConfig:
     gen = _resolve_generator(v, fail)
     scheme = _resolve_scheme(v, fail, gen)
     eps = _resolve_prediction(v, fail, scheme)
-    signal = _resolve_signal(v, fail, scheme)
+    signal, signal_entry = _resolve_signal(v, fail, scheme)
     if any(w <= 0 for w in v["W.list"]):
         fail("W.list", "all W values must be positive")
     if v["signal.file"] is not None:
@@ -358,9 +362,9 @@ def _resolve_config(text: str, source: str) -> RunConfig:
                  f"{400.0 * W * span:.2g} points, more than {_QUAD_POINTS}")
     if v["error.p"] < 1:
         fail("error.p", "error.p must be >= 1")
-    return RunConfig(gen=gen, scheme=scheme, epsilons=eps,
-                     signal=signal, W_list=v["W.list"], p=v["error.p"],
-                     source=source)
+    return RunConfig(gen=gen, scheme=scheme, epsilons=eps, signal=signal,
+                     signal_entry=signal_entry, W_list=v["W.list"],
+                     p=v["error.p"], source=source)
 
 
 def _fmt(v) -> str:
@@ -392,7 +396,7 @@ def _write_resolved(cfg: RunConfig, out: Path):
     if cfg.epsilons is not None:
         lines.append("prediction.epsilons = "
                      + ", ".join(repr(e) for e in cfg.epsilons))
-    lines += [f"signal.name = {cfg.signal.name}",
+    lines += [" = ".join(cfg.signal_entry),
               "W.list = " + ", ".join(repr(w) for w in cfg.W_list),
               f"error.p = {cfg.p!r}"]
     (out / "resolved.cfg").write_text("\n".join(lines) + "\n")

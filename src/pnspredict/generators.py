@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, factorial, sqrt
+from math import ceil, comb, factorial, prod, sqrt
 
 import numpy as np
 
@@ -73,6 +73,12 @@ class Generator:
         """phi^(s)(q + u) for integers q in [0, ceil(mu)) and u in [0, 1];
         q is an int or an integer array shaped like u."""
         raise NotImplementedError(f"{type(self).__name__} defines no piece")
+
+    def pieces(self, u):
+        """piece(q, u) for q = 0 .. ceil(mu) - 1 in turn, bit for bit: every
+        piece phi(q + u) at the same u, each made when it is asked for."""
+        for q in range(ceil(self.mu)):
+            yield self.piece(q, u)
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -289,12 +295,24 @@ class DaubechiesGenerator(Generator):
         """
         if s != 0:
             raise ValueError("Daubechies generator exposes function values only")
+        cell, frac = self._cell(u)
+        return self._interp(cell + q * (1 << self.level), frac)
+
+    def pieces(self, u):
+        """Every piece at the same u, with the cell of u found once."""
+        cell, frac = self._cell(u)
+        for q in range(ceil(self.mu)):
+            yield self._interp(cell + (q << self.level), frac)
+
+    def _cell(self, u):
+        """Table index of u's cell in piece 0, and u's fraction of it."""
         scale = 1 << self.level
         pos = u * scale
         # fmin/fmax clamp a NaN u to a valid cell; the NaN returns through frac
         cell = np.fmax(np.fmin(np.floor(pos), scale - 1), 0)
-        frac = pos - cell
-        idx = cell.astype(np.intp) + q * scale
+        return cell.astype(np.intp), pos - cell
+
+    def _interp(self, idx, frac):
         lo = self._values[idx]
         return lo + (self._values[idx + 1] - lo) * frac
 
@@ -320,18 +338,26 @@ def _expand(gen: Generator, coefs, start, nodes, weights, x) -> np.ndarray:
     """sum_m coefs[m] sum_p weights[p] phi(x - nodes[p] - start - m) for an
     integer start, read through phi's unit pieces.
 
+    coefs may hold one series per column: the result then has one column
+    per series, shape x.shape + coefs.shape[1:], and each column equals
+    the expansion of that column alone bit for bit.
+
     The nodes fall into classes by their fractional part delta, which
     nodes - floor(nodes) gives exactly.  Within a class the weights are
     added, at the nodes' integer parts, into one zero-padded copy b of
     coefs.  With y = x - delta, m = floor(y) and u = y - m, a point meets
-    only the ceil(mu) pieces b[m - q] phi(q + u), q = 0 .. ceil(mu) - 1.
+    only the ceil(mu) pieces b[m - q] phi(q + u), q = 0 .. ceil(mu) - 1,
+    which gen.pieces reads once per block for every column.
 
     Every point is computed from its own x with elementwise operations in a
     fixed order, so its value does not depend on the other points, and the
-    points go through in blocks of _BLOCK.
+    points go through in blocks of _BLOCK entries.
     """
     x = np.asarray(x, dtype=float)
-    coefs = np.asarray(coefs, dtype=float).ravel()
+    coefs = np.asarray(coefs, dtype=float)
+    cols = coefs.shape[1:]
+    # one row per series, so that a single series is one contiguous row
+    coefs = coefs.reshape(len(coefs), prod(cols)).T
     nodes = np.asarray(nodes, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
     whole = np.floor(nodes)
@@ -342,23 +368,25 @@ def _expand(gen: Generator, coefs, start, nodes, weights, x) -> np.ndarray:
         cls = frac == delta
         ints = whole[cls].astype(np.int64)
         lo = int(ints.min()) - 1
-        # b[0] and b[-1] stay zero; indices off the vector clip onto them
-        b = np.zeros(len(coefs) + int(ints.max()) - lo + 1)
+        # b[:, 0] and b[:, -1] stay zero; indices off the rows clip onto them
+        n_b = coefs.shape[1] + int(ints.max()) - lo + 1
+        b = np.zeros((len(coefs), n_b))
         for e, w in zip(ints.tolist(), weights[cls]):
-            b[e - lo:e - lo + len(coefs)] += w * coefs
-        classes.append((delta, start + lo, b))   # b[j] multiplies phi(y - k0 - j)
-    out = np.zeros(x.shape)
-    flat, flat_out = x.reshape(-1), out.reshape(-1)
-    for a in range(0, x.size, _BLOCK):
-        xb, ob = flat[a:a + _BLOCK], flat_out[a:a + _BLOCK]
+            b[:, e - lo:e - lo + coefs.shape[1]] += w * coefs
+        classes.append((delta, start + lo, b))   # b[:, j] multiplies phi(y - k0 - j)
+    out = np.zeros((len(coefs), x.size))
+    flat = x.reshape(-1)
+    step = max(_BLOCK // len(coefs), 1)
+    for a in range(0, x.size, step):
+        xb, ob = flat[a:a + step], out[:, a:a + step]
         for delta, k0, b in classes:
             y = xb - delta
             m = np.floor(y)
             u = y - m
-            base = np.fmax(np.fmin(m - k0, len(b) + n_pieces), -1).astype(np.intp)
-            for q in range(n_pieces):
-                ob += b.take(base - q, mode="clip") * gen.piece(q, u)
-    return out
+            base = np.fmax(np.fmin(m - k0, b.shape[1] + n_pieces), -1).astype(np.intp)
+            for q, val in enumerate(gen.pieces(u)):
+                ob += b.take(base - q, axis=1, mode="clip") * val
+    return out.T.reshape(x.shape + cols)
 
 
 def _autocorrelation(gen: Generator) -> np.ndarray:

@@ -32,7 +32,8 @@ from math import ceil, floor
 import numpy as np
 
 from .generators import _expand, generator_from_descriptor
-from .polyphase import CIS_THRESHOLD, LaurentMatrix, SamplingScheme, det_on_circle
+from .polyphase import (CIS_THRESHOLD, LaurentMatrix, SamplingScheme, _single_power,
+                        det_on_circle)
 
 __all__ = [
     "SingularSamplePointError",
@@ -53,8 +54,8 @@ class SingularSamplePointError(RuntimeError):
 def invert_polyphase(psi: LaurentMatrix) -> LaurentMatrix | None:
     """Psi(x)^{-1} as a Laurent matrix, or None when it is not one.
 
-    When no column q of Psi carries more than one power e_q (an exact
-    zero test), Psi(z) = M diag(z^{e_q}) with M = Psi(0) = sum_k C_k, so
+    When no column q of Psi carries more than one power e_q
+    (polyphase._single_power), Psi(z) = M diag(z^{e_q}), so
     det Psi = det M z^{sum e_q} is a monomial and Psi^{-1} = diag(z^{-e_q})
     M^{-1}: row q of M^{-1} is the coefficient of z^{-e_q}.  build_polyphase
     gives this shape for every scheme with offsets in one cell and
@@ -67,12 +68,9 @@ def invert_polyphase(psi: LaurentMatrix) -> LaurentMatrix | None:
     build_kernels refuses.  Raises SingularSamplePointError when |det M|,
     or det_on_circle's minimum, is at most CIS_THRESHOLD.
     """
-    powers = np.array(psi.powers(), dtype=int)
-    C = np.array([psi.coeffs[k] for k in powers]).reshape(-1, psi.dim, psi.dim)
-    carried = C.any(axis=1)             # carried[k, q]: column q holds power k
-    if np.all(carried.sum(axis=0) <= 1):
-        e = powers @ carried
-        M = C.sum(axis=0)               # exact: one nonzero term per entry
+    single = _single_power(psi)
+    if single is not None:
+        M, e = single
         det = np.linalg.det(M)
         if abs(det) <= CIS_THRESHOLD:
             raise SingularSamplePointError(
@@ -231,34 +229,44 @@ def _samples(ks, source, W: float, periods: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_eval(ks, source, W: float, t):
-    """The sampling series sum_l sum_{n,i} W^-i f^(i)((x_n + rho l)/W)
-    K_ni(W t - rho l) at t: a float for a scalar t, else an array.
+def _series_coefs(ks, source, W: float, periods: np.ndarray):
+    """(b, start) with the sampling series equal to
+    sum_j b[j] phi(W t - start - j) on the given periods.
 
-    source is any sample source `_samples` reads; the samples are taken
-    over the periods whose closed window holds some W t (`_periods`).  The
-    channels are summed into b[rho l + k] one by one, elementwise, so a
-    period's coefficients do not depend on the other periods, and b is
-    expanded against the nodes (`_expand`).  The points may come in any
-    order, and each is evaluated as a 1-element batch would be.
+    The channels are summed into b[rho l + k] one by one, elementwise, so a
+    period's coefficients do not depend on the other periods.
     """
-    arr = np.asarray(t, dtype=float)
-    wt = W * np.atleast_1d(arr)
-    periods = _periods(ks, wt)
     rho = ks.scheme.rho
     b = np.zeros((len(periods), rho))
     for f, c in zip(_samples(ks, source, W, periods).reshape(rho, -1),
                     ks._coef.reshape(rho, rho)):
         b += np.multiply.outer(f, c)
     start = ks._k0 + rho * int(periods[0]) if periods.size else 0
-    out = _expand(ks.gen, b.ravel(), start, ks.epsilons, ks.weights, wt)
+    return b.ravel(), start
+
+
+def _series_eval(ks, source, W: float, t):
+    """The sampling series sum_l sum_{n,i} W^-i f^(i)((x_n + rho l)/W)
+    K_ni(W t - rho l) at t: a float for a scalar t, else an array.
+
+    source is any sample source `_samples` reads; the samples are taken
+    over the periods whose closed window holds some W t (`_periods`), made
+    into one coefficient sequence (`_series_coefs`) and expanded against
+    the nodes (`_expand`).  The points may come in any order, and each is
+    evaluated as a 1-element batch would be.
+    """
+    arr = np.asarray(t, dtype=float)
+    wt = W * np.atleast_1d(arr)
+    b, start = _series_coefs(ks, source, W, _periods(ks, wt))
+    out = _expand(ks.gen, b, start, ks.epsilons, ks.weights, wt)
     return float(out[0]) if arr.ndim == 0 else out
 
 
 def build_kernels(gen, scheme: SamplingScheme,
                   inv: LaurentMatrix | None) -> KernelSet:
     """Assemble the kernel set from the inverse polyphase coefficients; None
-    (no Laurent inverse) and powers outside {-1, 0} are refused."""
+    (no Laurent inverse), powers outside {-1, 0} and kernel shifts outside
+    the window of the offsets' cell are refused."""
     if inv is None:
         raise ValueError("det Psi is not a monomial, so Psi has no Laurent "
                          "inverse; kernels would not be compactly supported")
@@ -267,7 +275,19 @@ def build_kernels(gen, scheme: SamplingScheme,
         raise ValueError(f"inverse has coefficients at {len(stray)} powers "
                          f"outside {{-1, 0}}, from {stray[0]} to {stray[-1]}; "
                          "kernels would not be compactly supported")
-    return KernelSet(gen, scheme, inv.coeff(0), inv.coeff(-1))
+    A, B = inv.coeff(0), inv.coeff(-1)
+    s, rho = scheme.s, scheme.rho
+    if s is not None:
+        # row q of A multiplies phi(t - q), row q of B phi(t - (q - rho))
+        outside = sorted([q for q in range(s + 1, rho) if A[q].any()]
+                         + [q - rho for q in range(s + 1) if B[q].any()])
+        if outside:
+            raise ValueError(
+                "the kernels would need phi(t - k) at k = "
+                f"{', '.join(map(str, outside))}, outside the shifts "
+                f"{s + 1 - rho}..{s} that offsets in the cell [{s}, {s + 1}) "
+                "allow; choose other scheme.offsets or scheme.r")
+    return KernelSet(gen, scheme, A, B)
 
 
 def reconstruct(ks: KernelSet, samples: dict, t):

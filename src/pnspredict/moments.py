@@ -20,7 +20,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .kernels import _TWO_SIDED, _periods, _series_eval
+from .generators import _expand
+from .kernels import _TWO_SIDED, _periods, _series_coefs
 
 __all__ = ["MomentReport", "moment_defects", "reproduction_order"]
 
@@ -47,10 +48,11 @@ def moment_defects(ks, degree: int, t_grid) -> tuple:
     """Moment defects of degrees 0..degree: for each j, the max over t_grid
     of |moment sum of degree j minus delta_{j0}|.
 
-    Every kernel is read once through KernelSet.kernel, on the (t, l) grid
-    of t - rho l over the periods whose window holds some t (`_periods`),
-    and feeds the sums of all degrees; a kernel is 0 off its window, so
-    the other columns add zeros.  Everything is float64.
+    Every kernel is read in one `_expand` of all the coefficient rows, each
+    row as KernelSet.kernel reads it, on the (t, l) grid of t - rho l over
+    the periods whose window holds some t (`_periods`), and feeds the sums
+    of all degrees; a kernel is 0 off its window, so the other columns add
+    zeros.  Everything is float64.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -58,12 +60,15 @@ def moment_defects(ks, degree: int, t_grid) -> tuple:
     if ts.size == 0:
         raise ValueError("t_grid must be nonempty")
     scheme = ks.scheme
-    tau = ts[:, None] - scheme.rho * _periods(ks, ts)
+    rho = scheme.rho
+    tau = ts[:, None] - rho * _periods(ks, ts)
+    kernels = _expand(ks.gen, ks._coef.reshape(rho, rho).T, ks._k0, ks.epsilons,
+                      ks.weights, tau).reshape(tau.shape + (scheme.L, scheme.r))
     acc = np.zeros((degree + 1, ts.size))
     for n, x in enumerate(scheme.offsets):
         diff = x - tau
         for i in range(min(degree, scheme.r - 1) + 1):
-            term = ks.kernel(n, i, tau)
+            term = kernels[..., n, i]
             for j in range(i, degree + 1):
                 acc[j] += (comb(j, i) * factorial(i)) * term.sum(axis=1)
                 term = term * diff
@@ -71,14 +76,26 @@ def moment_defects(ks, degree: int, t_grid) -> tuple:
     return tuple(float(d) for d in np.abs(acc).max(axis=1))
 
 
-def _monomial_cross_check(ks, degree: int, ts) -> float:
-    """Relative error over ts of the W = 1 operator applied to t^degree."""
-    derivs = [lambda t, i=i: (factorial(degree) / factorial(degree - i)
-                              * t ** (degree - i) if i <= degree else 0.0 * t)
-              for i in range(ks.scheme.r)]
-    exact = ts ** degree
-    err = np.abs(_series_eval(ks, derivs, 1.0, ts) - exact).max()
-    return float(err) / max(1.0, float(np.abs(exact).max()))
+def _monomial_cross_checks(ks, degree: int, ts) -> tuple:
+    """Relative errors over ts of the W = 1 operator applied to t^j, for
+    j = 0..degree: one coefficient column per degree (`_series_coefs`),
+    all expanded together."""
+    periods = _periods(ks, ts)
+    cols = []
+    for j in range(degree + 1):
+        derivs = [lambda t, i=i, j=j: (factorial(j) / factorial(j - i)
+                                       * t ** (j - i) if i <= j else 0.0 * t)
+                  for i in range(ks.scheme.r)]
+        b, start = _series_coefs(ks, derivs, 1.0, periods)
+        cols.append(b)
+    vals = _expand(ks.gen, np.stack(cols, axis=1), start, ks.epsilons,
+                   ks.weights, ts)
+    out = []
+    for j in range(degree + 1):
+        exact = ts ** j
+        err = np.abs(vals[:, j] - exact).max()
+        out.append(float(err) / max(1.0, float(np.abs(exact).max())))
+    return tuple(out)
 
 
 def reproduction_order(ks, tol: float = 1e-8) -> MomentReport:
@@ -102,7 +119,7 @@ def reproduction_order(ks, tol: float = 1e-8) -> MomentReport:
         kappa = min(kappa, ks.scheme.rho)
     grid = np.linspace(0.0, ks.scheme.rho, 65)
     defects = moment_defects(ks, kappa, grid)
-    cross = tuple(_monomial_cross_check(ks, j, grid) for j in range(kappa + 1))
+    cross = _monomial_cross_checks(ks, kappa, grid)
     for j in range(kappa):
         if cross[j] > max(100.0 * tol, 1e-6):
             warnings.warn(f"degree {j} < kappa = {kappa}, but the monomial check "

@@ -3,9 +3,14 @@
 A scheme samples f, f', ..., f^(r-1) at the points {x_n + rho*l} with period
 rho = L*r.  The polyphase matrix Psi(x) collects the generator's shifted
 values; the scheme is a complete interpolation set exactly when det Psi has
-no zero on the unit circle.  Psi is evaluated on the whole circle grid as
-one stack of matrices, so det_on_circle and frame_bounds are one batched
-numpy call each.
+no zero on the unit circle.
+
+When no column of Psi carries more than one power of z (`_single_power`,
+which holds for every scheme with offsets in one cell and rho >= mu),
+Psi(z) = M diag(z^e_q).  Then |det Psi| = |det M| and Psi* Psi is
+unitarily similar to M^T M on the whole circle, so det_on_circle and
+frame_bounds read their constants from M.  Any other Psi is evaluated on
+CIRCLE_GRID as one stack of matrices, one batched numpy call each.
 """
 
 from __future__ import annotations
@@ -78,16 +83,6 @@ class SamplingScheme:
             return int(c)
         return None
 
-    @property
-    def row_points(self) -> np.ndarray:
-        """t_i = x_{i // r} for row i = n*r + p."""
-        return np.repeat(np.asarray(self.offsets), self.r)
-
-    @property
-    def row_derivs(self) -> np.ndarray:
-        """d_i = i mod r for row i = n*r + p."""
-        return np.tile(np.arange(self.r), self.L)
-
     @classmethod
     def equally_spaced(cls, L: int, r: int = 1, s: int = 0):
         """L offsets s + n/L, n = 0..L-1, all inside the cell [s, s+1)."""
@@ -158,17 +153,14 @@ def build_polyphase(gen, scheme: SamplingScheme) -> LaurentMatrix:
         raise ValueError(
             f"scheme needs derivatives up to order {scheme.r - 1} but the "
             f"generator only provides {gen.regularity}")
-    rho = scheme.rho
-    t = scheme.row_points
-    d = scheme.row_derivs
-    q = np.arange(rho)
-    coeffs = {}
-    for k in range(ceil(1 + (gen.mu - 1) / rho)):
-        mat = np.zeros((rho, rho))
-        for i in range(rho):
-            mat[i] = gen.eval(t[i] + rho * k - q, int(d[i]))
-        coeffs[k] = mat
-    return LaurentMatrix(rho, coeffs)
+    rho, r = scheme.rho, scheme.r
+    shifts = rho * np.arange(ceil(1 + (gen.mu - 1) / rho))
+    # pts[n, k, q] = x_n + rho k - q feeds rows n*r + p, one eval per order p
+    pts = np.asarray(scheme.offsets)[:, None, None] + shifts[:, None] - np.arange(rho)
+    coeffs = np.empty((len(shifts), rho, rho))
+    for p in range(r):
+        coeffs[:, p::r] = gen.eval(pts, p).swapaxes(0, 1)
+    return LaurentMatrix(rho, dict(enumerate(coeffs)))
 
 
 def cis_determinant(gen, scheme: SamplingScheme) -> float:
@@ -184,12 +176,11 @@ def cis_determinant(gen, scheme: SamplingScheme) -> float:
     s = scheme.s
     if s is None:
         raise ValueError("offsets must lie in a single cell [s, s+1)")
-    t = scheme.row_points
-    d = scheme.row_derivs
-    j = np.arange(rho)
-    C = np.zeros((rho, rho))
-    for i in range(rho):
-        C[i] = gen.eval(t[i] - s - 1 + rho - j, int(d[i]))
+    r = scheme.r
+    pts = np.asarray(scheme.offsets)[:, None] - s - 1 + rho - np.arange(rho)
+    C = np.empty((rho, rho))
+    for p in range(r):
+        C[p::r] = gen.eval(pts, p)
     det = float(np.linalg.det(C))
     if 1e-12 <= abs(det) <= CIS_THRESHOLD:
         warnings.warn(f"near-singular interpolation determinant {det:.3e}",
@@ -197,12 +188,31 @@ def cis_determinant(gen, scheme: SamplingScheme) -> float:
     return det
 
 
-def det_on_circle(psi: LaurentMatrix):
-    """Minimum of |det Psi(x)| over CIRCLE_GRID, which holds 0 and 1/2.
+def _single_power(psi: LaurentMatrix):
+    """(M, e) when no column q of Psi carries more than one power e_q (an
+    exact zero test), else None.
 
-    Returns (min_abs, argmin_x).  This is the general CIS test for schemes
-    whose determinant is not reduced to a single monomial.
+    Then Psi(z) = M diag(z^{e_q}) with M = Psi(0) = sum_k C_k (exact: one
+    nonzero term per entry), and e_q = 0 for a zero column.
     """
+    powers = np.array(psi.powers(), dtype=int)
+    C = np.array([psi.coeffs[k] for k in powers]).reshape(-1, psi.dim, psi.dim)
+    carried = C.any(axis=1)             # carried[k, q]: column q holds power k
+    if np.any(carried.sum(axis=0) > 1):
+        return None
+    return C.sum(axis=0), powers @ carried
+
+
+def det_on_circle(psi: LaurentMatrix):
+    """Minimum of |det Psi(x)| on the circle, as (min_abs, argmin_x).
+
+    A single-power Psi has |det Psi| = |det M| everywhere, and the argmin
+    of a constant is the first grid point, 0.  Any other Psi is scanned
+    over CIRCLE_GRID, which holds 0 and 1/2.
+    """
+    single = _single_power(psi)
+    if single is not None:
+        return float(abs(np.linalg.det(single[0]))), float(CIRCLE_GRID[0])
     dets = np.linalg.det(psi(CIRCLE_GRID))
     vals = np.hypot(dets.real, dets.imag)   # rounds as abs() of a complex does
     idx = int(np.argmin(vals))
@@ -214,13 +224,22 @@ def frame_bounds(psi: LaurentMatrix, phi_min: float, phi_max: float):
 
     A = min_x lambda_min(Psi* Psi) / phi_max and
     B = max_x lambda_max(Psi* Psi) / phi_min, so A > 0 exactly when the
-    determinant stays away from zero on CIRCLE_GRID.
+    determinant stays away from zero.  A single-power Psi has Psi* Psi
+    unitarily similar to M^T M on the whole circle, so the extremes are
+    sigma(M)^2, from the singular values of M (the eigenvalues of M^T M
+    would square its condition number).  Any other Psi is scanned over
+    CIRCLE_GRID.
     """
     if phi_min <= 0:
         raise ValueError("phi_min must be positive")
-    m = psi(CIRCLE_GRID)
-    ev = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)
-    lo, hi = ev[:, 0].min(), ev[:, -1].max()
+    single = _single_power(psi)
+    if single is not None:
+        sv = np.linalg.svd(single[0], compute_uv=False)
+        lo, hi = sv[-1] ** 2, sv[0] ** 2
+    else:
+        m = psi(CIRCLE_GRID)
+        ev = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)
+        lo, hi = ev[:, 0].min(), ev[:, -1].max()
     return float(max(lo, 0.0) / phi_max), float(hi / phi_min)
 
 

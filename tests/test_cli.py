@@ -616,22 +616,59 @@ def test_header_only_signal_file_is_one_line_on_stderr(tmp_path):
 
 
 def _assert_same_run(again, cfg):
-    """Every RunConfig field but the source agrees (generators by descriptor)."""
+    """Every RunConfig field but the source agrees (generators by descriptor,
+    signals by name, window and values)."""
+    ts = np.linspace(-8.0, 10.0, 181)
     for field in fields(RunConfig):
         want, got = getattr(cfg, field.name), getattr(again, field.name)
         if field.name == "gen":
             want, got = want.descriptor(), got.descriptor()
+        if field.name == "signal":
+            want, got = ((sig.name, sig.interval, [d(ts).tolist() for d in sig.derivs])
+                         for sig in (want, got))
         if field.name != "source":
             assert got == want, field.name
 
 
-@pytest.mark.parametrize("name", sorted(SHIPPED_EXITS))
+# configs whose signal is not built in, by the line that gives it
+SIGNAL_LINES = {"expr": "signal.expr = np.cos(t) * np.exp(-t * t / 9)",
+                "file": "signal.file = {tmp}/pulse.csv"}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_EXITS) + sorted(SIGNAL_LINES))
 def test_resolved_cfg_reloads_to_the_same_run(runner, tmp_path, name):
     path = CONFIGS / f"{name}.cfg"
-    runner.invoke(main, ["check-cis", "--config", str(path), "--out",
-                         str(tmp_path), "--quiet"])
-    _assert_same_run(load_config(str(tmp_path / "resolved.cfg")),
+    if name in SIGNAL_LINES:
+        ts = np.linspace(-3.0, 4.0, 57)
+        write_csv(tmp_path / "pulse.csv", ["t", "v"],
+                  zip(ts.tolist(), np.cos(ts).tolist()))
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(QUARTIC_CFG.replace(
+            "signal.name = f", SIGNAL_LINES[name].format(tmp=tmp_path)))
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["check-cis", "--config", str(path), "--out",
+                               str(out), "--quiet"])
+    assert res.exit_code in (EXIT_OK, EXIT_NOT_CIS), res.output
+    _assert_same_run(load_config(str(out / "resolved.cfg")),
                      load_config(str(path)))
+
+
+def test_a_cis_whose_kernels_leave_the_cell_is_refused_by_name(runner, tmp_path):
+    # Q3 with its derivative at the knot 0 is a CIS (Psi = M z), but each
+    # kernel needs phi(t + 2), left of the shifts -1..0 of the cell [0, 1)
+    cfg = tmp_path / "knot.cfg"
+    cfg.write_text("generator.order = 3\nscheme.offsets = 0\nscheme.r = 2\n")
+    res = runner.invoke(main, ["check-cis", "--config", str(cfg), "--out",
+                               str(tmp_path / "c"), "--quiet"])
+    assert res.exit_code == EXIT_OK, res.output
+    res = runner.invoke(main, ["kernels", "--config", str(cfg), "--out",
+                               str(tmp_path / "k"), "--quiet"])
+    assert res.exit_code == EXIT_CONFIG
+    assert res.stderr.splitlines() == [
+        f"config error: {cfg}: the kernels would need phi(t - k) at k = -2, "
+        "outside the shifts -1..0 that offsets in the cell [0, 1) allow; "
+        "choose other scheme.offsets or scheme.r"]
+    assert not (tmp_path / "k").exists()
 
 
 def test_table1_builtin_resolved_cfg_reloads_to_the_same_run(runner, tmp_path):

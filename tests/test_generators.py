@@ -328,6 +328,32 @@ def test_piece_matches_eval(name):
         assert diff <= 1e-12 * _peak(name)
 
 
+@pytest.mark.parametrize("name", ("Q3", "Q4", "Q5", "Q6", "db2", "db3", "db4"))
+def test_pieces_are_the_pieces_bit_for_bit(name):
+    gen = _generator(name)
+    u = np.concatenate([np.linspace(0.0, 1.0, 257), [np.nan],
+                        np.random.default_rng(6).uniform(0.0, 1.0, 200)])
+    got = list(gen.pieces(u))
+    assert len(got) == ceil(gen.mu)
+    for q, val in enumerate(got):
+        assert val.tobytes() == gen.piece(q, u).tobytes(), q
+
+
+@pytest.mark.parametrize("name", ("Q5", "db3"))
+def test_expand_columns_equal_single_columns_bit_for_bit(name):
+    gen = _generator(name)
+    coefs = np.random.default_rng(8).normal(size=(7, 3))
+    nodes = np.array([4.0, 4.25, 4.5, 4.75, 5.1])
+    weights = np.array([1.0, -2.0, 3.0, 0.5, -0.25])
+    # more points than one block holds, as a 2-D grid
+    x = _edge_points(gen.mu, infinite=False)[:2 * _BLOCK + 6].reshape(-1, 2)
+    out = _expand(gen, coefs, -2, nodes, weights, x)
+    assert out.shape == x.shape + (3,)
+    for j in range(3):
+        want = _expand(gen, coefs[:, j], -2, nodes, weights, x)
+        assert out[..., j].tobytes() == want.tobytes(), j
+
+
 @settings(max_examples=120, deadline=None)
 @given(name=st.sampled_from(EVALUATOR_GENERATORS),
        terms=st.lists(st.tuples(st.integers(-6, 6), st.sampled_from(FRACTIONS),

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from pnspredict import BSplineGenerator, KernelSet, SamplingScheme, modify_kernels
-from pnspredict.moments import MomentReport, moment_defects, reproduction_order
+from pnspredict.kernels import _periods, _series_eval
+from pnspredict.moments import (MomentReport, _monomial_cross_checks, moment_defects,
+                               reproduction_order)
 from conftest import build_kernel_set
 
 
@@ -165,6 +167,34 @@ def test_monomial_cross_checks_agree(kernels_quartic_r1):
     assert len(rep.cross_defects) == rep.kappa + 1
     assert max(rep.cross_defects[:4]) < 1e-9
     assert rep.cross_defects[4] > 1e-3
+
+
+@pytest.mark.parametrize("name", ("kernels_hermite", "pred_hermite", "pred_db3",
+                                  "pred_quartic_r1_nondyadic"))
+def test_one_pass_equals_kernel_by_kernel_and_degree_by_degree(request, name):
+    # every kernel and every degree in one expansion, with the same bits as
+    # KernelSet.kernel one kernel at a time and the series one degree at a time
+    ks = request.getfixturevalue(name)
+    degree = ks.gen.approx_order
+    ts = np.linspace(0.0, ks.scheme.rho, 65)
+    tau = ts[:, None] - ks.scheme.rho * _periods(ks, ts)
+    acc = np.zeros((degree + 1, ts.size))
+    for n, x in enumerate(ks.scheme.offsets):
+        for i in range(min(degree, ks.scheme.r - 1) + 1):
+            term = ks.kernel(n, i, tau)
+            for j in range(i, degree + 1):
+                acc[j] += (comb(j, i) * factorial(i)) * term.sum(axis=1)
+                term = term * (x - tau)
+    acc[0] -= 1.0
+    assert moment_defects(ks, degree, ts) == tuple(np.abs(acc).max(axis=1).tolist())
+    cross = []
+    for j in range(degree + 1):
+        derivs = [lambda t, i=i: (factorial(j) / factorial(j - i) * t ** (j - i)
+                                  if i <= j else 0.0 * t)
+                  for i in range(ks.scheme.r)]
+        err = np.abs(_series_eval(ks, derivs, 1.0, ts) - ts ** j).max()
+        cross.append(float(err) / max(1.0, float(np.abs(ts ** j).max())))
+    assert _monomial_cross_checks(ks, degree, ts) == tuple(cross)
 
 
 def test_report_formatting(kernels_quartic_r1):

@@ -1,4 +1,6 @@
+from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pnspredict as pp
-from pnspredict.polyphase import (LaurentMatrix, SamplingScheme, build_polyphase,
-                                  cis_determinant, det_on_circle, frame_bounds,
-                                  zak_transform)
+from pnspredict.cli import load_config
+from pnspredict.polyphase import (LaurentMatrix, SamplingScheme, _single_power,
+                                  build_polyphase, cis_determinant,
+                                  det_on_circle, frame_bounds, zak_transform)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # printed polyphase matrix for Q4 with offsets (0, 1/4, 1/2, 3/4), r = 1:
 # constant part and z part, row by row
@@ -63,8 +68,6 @@ def test_scheme_properties(scheme_quartic_r1, scheme_hermite, scheme_cubic_split
     assert scheme_hermite.rho == 4
     assert scheme_hermite.s == 0
     assert scheme_cubic_split.s is None
-    assert list(scheme_hermite.row_points) == [0.5, 0.5, 0.75, 0.75]
-    assert list(scheme_hermite.row_derivs) == [0, 1, 0, 1]
 
 
 def test_equally_spaced_and_chebyshev_constructors():
@@ -173,10 +176,10 @@ def test_det_on_circle_quartic_split(q4, scheme_cubic_split):
 class _CountingQ4(pp.BSplineGenerator):
     def __init__(self):
         super().__init__(4)
-        self.calls = 0
+        self.points = 0
 
     def eval(self, t, s=0):
-        self.calls += 1
+        self.points += np.size(t)
         return super().eval(t, s)
 
 
@@ -191,11 +194,11 @@ class _CountingQ4(pp.BSplineGenerator):
 ])
 def test_build_polyphase_evaluates_only_powers_below_its_bound(offsets, r, n_powers):
     # phi^(p)(t + rho k - q) vanishes once rho k - rho + 1 >= mu, so the
-    # matrices stop at k < 1 + (mu - 1)/rho, one evaluation per row each
+    # matrices stop at k < 1 + (mu - 1)/rho, one point per entry each
     gen = _CountingQ4()
     scheme = SamplingScheme(offsets, r)
     psi = build_polyphase(gen, scheme)
-    assert gen.calls == n_powers * scheme.rho
+    assert gen.points == n_powers * scheme.rho ** 2
     assert psi.powers() == list(range(n_powers))
 
 
@@ -221,19 +224,83 @@ def test_laurent_matrix_on_an_array_matches_pointwise(q4, scheme_hermite):
     assert psi(grid).shape == (3, 4, 4, 4)
 
 
-def test_circle_scans_match_the_pointwise_loop(q4, scheme_hermite,
-                                               scheme_quartic_cheb):
-    phi_min, phi_max = pp.stability_bounds(q4)
+def test_circle_scans_match_the_pointwise_loop(q4, db3, scheme_cubic_split):
+    # schemes with more than one power in a column, which are scanned
     xs = np.arange(256) / 256
-    for scheme in (scheme_hermite, scheme_quartic_cheb):
-        psi = build_polyphase(q4, scheme)
+    for gen, scheme in ((q4, scheme_cubic_split), (q4, SamplingScheme((0.5,), 3)),
+                        (db3, SamplingScheme((0.0, 0.5)))):
+        phi_min, phi_max = pp.stability_bounds(gen)
+        psi = build_polyphase(gen, scheme)
+        assert _single_power(psi) is None
         vals = [abs(psi.det(x)) for x in xs]
         j = int(np.argmin(vals))
         assert det_on_circle(psi) == (vals[j], xs[j])
         ev = [np.linalg.eigvalsh(psi(x).conj().T @ psi(x)) for x in xs]
         A, B = frame_bounds(psi, phi_min, phi_max)
-        assert A == pytest.approx(min(e[0] for e in ev) / phi_max, rel=1e-12)
+        assert A == pytest.approx(max(min(e[0] for e in ev), 0.0) / phi_max,
+                                  rel=1e-12)
         assert B == pytest.approx(max(e[-1] for e in ev) / phi_min, rel=1e-12)
+
+
+_SINGLE_POWER = ("quartic_r1", "quartic_hermite", "quartic_r1_chebyshev", "db3_r1")
+
+
+def _config_psi(name):
+    cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+    return build_polyphase(cfg.gen, cfg.scheme)
+
+
+@pytest.mark.parametrize("name", _SINGLE_POWER)
+def test_single_power_det_is_det_m_and_the_scan_agrees(name):
+    # Psi(z) = M diag(z^e): |det Psi| is |det M| on the whole circle
+    psi = _config_psi(name)
+    M, e = _single_power(psi)
+    assert np.array_equal(M, psi.coeff(0) + psi.coeff(1))
+    assert sorted(set(e.tolist())) == [0, 1]
+    det_m = abs(np.linalg.det(M))
+    assert det_on_circle(psi) == (det_m, 0.0)
+    dets = np.abs(np.linalg.det(psi(np.arange(256) / 256)))
+    cond = np.linalg.cond(M)
+    assert np.abs(dets - det_m).max() <= cond * np.finfo(float).eps * det_m
+
+
+def _fraction_det(rows):
+    """Exact determinant of a square matrix of Fractions (elimination)."""
+    a = [list(row) for row in rows]
+    n, det = len(a), Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+@pytest.mark.parametrize("name", ("quartic_r1", "quartic_hermite",
+                                  "quartic_r1_chebyshev"))
+def test_single_power_frame_bound_brackets_the_exact_eigenvalue(name):
+    # A = sigma_min(M)^2 with phi_max = 1.  det(M^T M - x I), exact, is
+    # positive below the smallest eigenvalue and negative between it and the
+    # next, so its signs at A (1 -+ 1e-12) bracket sigma_min^2 to 1e-12
+    psi = _config_psi(name)
+    M, _ = _single_power(psi)
+    lam, _ = frame_bounds(psi, 1.0, 1.0)
+    F = [[Fraction(v) for v in row] for row in M.tolist()]
+    n = len(F)
+    gram = [[sum(F[k][i] * F[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+    def char(x):
+        return _fraction_det([[g - (x if i == j else 0) for j, g in enumerate(row)]
+                              for i, row in enumerate(gram)])
+    assert char(Fraction(lam) * Fraction(1 - 1e-12)) > 0
+    assert char(Fraction(lam) * Fraction(1 + 1e-12)) < 0
 
 
 def test_frame_bounds_identity():
@@ -279,7 +346,9 @@ def test_zak_factorization_quartic_r1(q4, scheme_quartic_r1):
 def zak_factorization_error(gen, scheme, n_grid):
     psi = build_polyphase(gen, scheme)
     rho = scheme.rho
-    t, d = scheme.row_points, scheme.row_derivs
+    # row i = n r + p reads derivative p at offset x_n
+    t = np.repeat(scheme.offsets, scheme.r)
+    d = np.tile(np.arange(scheme.r), scheme.L)
     # every x and j reads row i at the same points t_i - k: evaluate each once
     phi = lru_cache(maxsize=None)(gen.eval)
     lhs, rhs = [], []
