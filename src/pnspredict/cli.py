@@ -13,6 +13,7 @@ import shutil
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from math import isfinite
 from pathlib import Path
 
 import click
@@ -62,12 +63,23 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return entries
 
 
+class _NotFinite(ValueError):
+    """A number that parses, as inf or nan, but is not finite."""
+
+
+def _number(raw: str) -> float:
+    v = float(raw)
+    if not isfinite(v):
+        raise _NotFinite(raw.strip())
+    return v
+
+
 def _number_list(raw: str) -> tuple:
-    return tuple(float(v) for v in raw.split(",") if v.strip())
+    return tuple(_number(v) for v in raw.split(",") if v.strip())
 
 
 # the type of each non-text reader, as a refused value's message names it
-_MUST_BE = {int: "an integer", float: "a number",
+_MUST_BE = {int: "an integer", _number: "a number",
             _number_list: "a comma-separated number list"}
 
 # Every config key with its reader and its default (None: not given).
@@ -82,13 +94,13 @@ _KEYS = {
     "scheme.rho": (int, None),
     "scheme.s": (int, None),
     "prediction.epsilons": (_number_list, None),
-    "prediction.eps0": (float, None),
-    "prediction.spacing": (float, None),
+    "prediction.eps0": (_number, None),
+    "prediction.spacing": (_number, None),
     "signal.name": (str, None),
     "signal.expr": (str, None),
     "signal.file": (str, None),
     "W.list": (_number_list, DEFAULT_W),
-    "error.p": (float, 2.0),
+    "error.p": (_number, 2.0),
 }
 
 # The offset families of scheme.offset_mode; table1 runs both.
@@ -339,6 +351,9 @@ def _resolve_config(text: str, source: str) -> RunConfig:
         read = _KEYS[key][0]
         try:
             v[key] = read(raw)
+        except _NotFinite as exc:
+            raise ConfigError(f"{source}:{line}: {key} must be a finite number, "
+                              f"got {exc.args[0]!r}")
         except ValueError:
             raise ConfigError(f"{source}:{line}: {key} must be {_MUST_BE[read]}, "
                               f"got {raw!r}")

@@ -389,29 +389,48 @@ def _expand(gen: Generator, coefs, start, nodes, weights, x) -> np.ndarray:
     return out.T.reshape(x.shape + cols)
 
 
-def _autocorrelation(gen: Generator) -> np.ndarray:
-    """Integer-lag autocorrelation a(k) = int phi(t) phi(t - k) dt, k = 0..ceil(mu)-1.
+@lru_cache(maxsize=32)
+def _autocorrelation(kind: str, order: int) -> np.ndarray:
+    """Integer-lag autocorrelation a(k) = int phi(t) phi(t - k) dt,
+    k = 0..ceil(mu)-1, of the generator of this kind and order; built once
+    per order and shared read-only, like the B-spline piece tables.
 
     B-splines: a(k) = Q_2m(m + k), since Q_m * Q_m(-.) = Q_2m(. + m).
     Daubechies: a(k) = sum_m c_m a(2k - m) with c the taps' autocorrelation
     (Lawton 1991).
     """
-    if isinstance(gen, BSplineGenerator):
-        return BSplineGenerator(2 * gen.m).eval(gen.m + np.arange(gen.m, dtype=float))
-    if isinstance(gen, DaubechiesGenerator):
-        n = len(gen.taps) - 1
-        return _refinement_fixed_point(np.correlate(gen.taps, gen.taps, "full"),
+    if kind == "bspline":
+        corr = BSplineGenerator(2 * order).eval(order + np.arange(order, dtype=float))
+    else:
+        taps = daubechies_taps(order)
+        n = len(taps) - 1
+        corr = _refinement_fixed_point(np.correlate(taps, taps, "full"),
                                        -n, 1 - n, n)[n - 1:]
-    raise TypeError(f"no autocorrelation for {type(gen).__name__}")
+    corr.flags.writeable = False
+    return corr
+
+
+@lru_cache(maxsize=32)
+def _circle_extremes(kind: str, order: int) -> tuple[float, float]:
+    """min and max over CIRCLE_GRID of a(0) + 2 sum_k a(k) cos(2 pi k w)."""
+    w = CIRCLE_GRID
+    corr = _autocorrelation(kind, order)
+    phi = np.full_like(w, corr[0])
+    for k in range(1, len(corr)):
+        phi += 2.0 * corr[k] * np.cos(2.0 * np.pi * k * w)
+    return float(phi.min()), float(phi.max())
 
 
 def stability_bounds(gen: Generator) -> tuple[float, float]:
     """Extremes of Phi(w) = sum_n |phihat(w + n)|^2 over CIRCLE_GRID of
     polyphase, which holds w = 0 and w = 1/2, from the finite cosine sum
-    a(0) + 2 sum_k a(k) cos(2 pi k w) over the integer-lag autocorrelation a."""
-    w = CIRCLE_GRID
-    corr = _autocorrelation(gen)
-    phi = np.full_like(w, corr[0])
-    for k in range(1, len(corr)):
-        phi += 2.0 * corr[k] * np.cos(2.0 * np.pi * k * w)
-    return float(phi.min()), float(phi.max())
+    a(0) + 2 sum_k a(k) cos(2 pi k w) over the integer-lag autocorrelation a.
+
+    Both depend on the generator's kind and order only, so each is computed
+    once per order (`_autocorrelation`, `_circle_extremes`).
+    """
+    if isinstance(gen, BSplineGenerator):
+        return _circle_extremes("bspline", gen.m)
+    if isinstance(gen, DaubechiesGenerator):
+        return _circle_extremes("daubechies", gen.d)
+    raise TypeError(f"no autocorrelation for {type(gen).__name__}")

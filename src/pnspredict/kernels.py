@@ -26,8 +26,7 @@ from them.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, isfinite
 
 import numpy as np
 
@@ -94,24 +93,31 @@ def lagrange_weights(epsilons) -> list:
     """Weights a_p = prod_{q != p} eps_q / (eps_q - eps_p).
 
     The unique solution of sum_p a_p (-eps_p)^j = delta_{j0} for
-    j = 0..len-1.  Nodes must be strictly increasing and nonzero.
-    The products are carried in exact rational arithmetic, so nodes
-    whose weights are representable (integers in particular) come out
-    without rounding error, and every other weight is rounded once.
+    j = 0..len-1.  Nodes must be finite, strictly increasing and nonzero.
+    A float is a dyadic rational, so one power of two scales every node
+    to an integer N_q, and a_p = prod_{q != p} N_q / prod_{q != p} (N_q - N_p)
+    is a quotient of two exact integer products, rounded once (int / int
+    is correctly rounded).  So nodes whose weights are representable
+    (integers in particular) give them without rounding error.
     """
     eps = [float(e) for e in epsilons]
+    if not all(isfinite(e) for e in eps):
+        raise ValueError("epsilon nodes must be finite")
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon nodes must be strictly increasing")
     if any(e == 0.0 for e in eps):
         raise ValueError("epsilon nodes must be nonzero")
-    nodes = [Fraction(e) for e in eps]
+    ratios = [e.as_integer_ratio() for e in eps]
+    scale = max((d for _, d in ratios), default=1)   # each d divides it
+    nodes = [n * (scale // d) for n, d in ratios]
     out = []
     for p, node in enumerate(nodes):
-        w = Fraction(1)
+        num = den = 1
         for q, other in enumerate(nodes):
             if q != p:
-                w *= other / (other - node)
-        out.append(float(w))
+                num *= other
+                den *= other - node
+        out.append(num / den)
     return out
 
 
@@ -229,20 +235,23 @@ def _samples(ks, source, W: float, periods: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_coefs(ks, source, W: float, periods: np.ndarray):
+def _series_coefs(ks, samples: np.ndarray, periods: np.ndarray):
     """(b, start) with the sampling series equal to
-    sum_j b[j] phi(W t - start - j) on the given periods.
+    sum_j b[..., j] phi(W t - start - j) on the given periods, from the
+    samples[..., n, i, l] that `_samples` gives; leading axes hold further
+    series, each with its own coefficients.
 
-    The channels are summed into b[rho l + k] one by one, elementwise, so a
-    period's coefficients do not depend on the other periods.
+    The channels are summed into b[..., rho l + k] one by one, elementwise,
+    so a period's coefficients do not depend on the other periods, nor a
+    series' on the other series.
     """
     rho = ks.scheme.rho
-    b = np.zeros((len(periods), rho))
-    for f, c in zip(_samples(ks, source, W, periods).reshape(rho, -1),
-                    ks._coef.reshape(rho, rho)):
-        b += np.multiply.outer(f, c)
+    f = samples.reshape(samples.shape[:-3] + (rho, len(periods)))
+    b = np.zeros(f.shape[:-2] + (len(periods), rho))
+    for q, c in enumerate(ks._coef.reshape(rho, rho)):
+        b += f[..., q, :, None] * c
     start = ks._k0 + rho * int(periods[0]) if periods.size else 0
-    return b.ravel(), start
+    return b.reshape(f.shape[:-2] + (-1,)), start
 
 
 def _series_eval(ks, source, W: float, t):
@@ -257,7 +266,8 @@ def _series_eval(ks, source, W: float, t):
     """
     arr = np.asarray(t, dtype=float)
     wt = W * np.atleast_1d(arr)
-    b, start = _series_coefs(ks, source, W, _periods(ks, wt))
+    periods = _periods(ks, wt)
+    b, start = _series_coefs(ks, _samples(ks, source, W, periods), periods)
     out = _expand(ks.gen, b, start, ks.epsilons, ks.weights, wt)
     return float(out[0]) if arr.ndim == 0 else out
 

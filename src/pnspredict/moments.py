@@ -78,18 +78,22 @@ def moment_defects(ks, degree: int, t_grid) -> tuple:
 
 def _monomial_cross_checks(ks, degree: int, ts) -> tuple:
     """Relative errors over ts of the W = 1 operator applied to t^j, for
-    j = 0..degree: one coefficient column per degree (`_series_coefs`),
-    all expanded together."""
+    j = 0..degree: the samples of every degree in one array, made into one
+    coefficient column per degree (`_series_coefs`) and expanded together.
+
+    The sample of channel i of t^j at t = x_n + rho l is
+    j!/(j - i)! t^(j - i) (0 for i > j), with each power of t taken once.
+    """
+    scheme = ks.scheme
     periods = _periods(ks, ts)
-    cols = []
+    times = np.asarray(scheme.offsets)[:, None] + scheme.rho * periods
+    powers = [times ** k for k in range(degree + 1)]
+    samples = np.zeros((degree + 1, scheme.L, scheme.r, len(periods)))
     for j in range(degree + 1):
-        derivs = [lambda t, i=i, j=j: (factorial(j) / factorial(j - i)
-                                       * t ** (j - i) if i <= j else 0.0 * t)
-                  for i in range(ks.scheme.r)]
-        b, start = _series_coefs(ks, derivs, 1.0, periods)
-        cols.append(b)
-    vals = _expand(ks.gen, np.stack(cols, axis=1), start, ks.epsilons,
-                   ks.weights, ts)
+        for i in range(min(j, scheme.r - 1) + 1):
+            samples[j, :, i] = factorial(j) / factorial(j - i) * powers[j - i]
+    b, start = _series_coefs(ks, samples, periods)
+    vals = _expand(ks.gen, b.T, start, ks.epsilons, ks.weights, ts)
     out = []
     for j in range(degree + 1):
         exact = ts ** j

@@ -193,14 +193,22 @@ def _single_power(psi: LaurentMatrix):
     exact zero test), else None.
 
     Then Psi(z) = M diag(z^{e_q}) with M = Psi(0) = sum_k C_k (exact: one
-    nonzero term per entry), and e_q = 0 for a zero column.
+    nonzero term per entry), and e_q = 0 for a zero column.  The split is
+    made once per matrix and kept on it, with M and e read-only, so
+    det_on_circle, frame_bounds and invert_polyphase share it.
     """
+    if "_single" in vars(psi):
+        return psi._single
     powers = np.array(psi.powers(), dtype=int)
     C = np.array([psi.coeffs[k] for k in powers]).reshape(-1, psi.dim, psi.dim)
     carried = C.any(axis=1)             # carried[k, q]: column q holds power k
-    if np.any(carried.sum(axis=0) > 1):
-        return None
-    return C.sum(axis=0), powers @ carried
+    single = None
+    if not np.any(carried.sum(axis=0) > 1):
+        single = C.sum(axis=0), powers @ carried
+        for a in single:
+            a.flags.writeable = False
+    psi._single = single
+    return single
 
 
 def det_on_circle(psi: LaurentMatrix):

@@ -601,6 +601,41 @@ def test_config_errors_name_the_offending_line(runner, tmp_path, case):
     assert f"config error: {where}: {message}" in res.output
 
 
+# Numbers that parse but are not finite, by case: (subcommand, config text,
+# line of the key, key, value named).  Each used to reach the pipeline: a
+# traceback (exit 1) from float's integer ratio or lp_error, or a refusal
+# (exit 2) that named another rule.
+NOT_FINITE = {
+    "W_inf": ("convergence", _MODE + "W.list = inf\n", 4, "W.list", "inf"),
+    "W_nan": ("convergence", _MODE + "W.list = nan\n", 4, "W.list", "nan"),
+    "p_nan": ("convergence", _MODE + "error.p = nan\n", 4, "error.p", "nan"),
+    "p_inf": ("convergence", _MODE + "error.p = inf\n", 4, "error.p", "inf"),
+    "epsilons_inf": ("predict", _MODE + "prediction.epsilons = 4, 5, 6, inf\n", 4,
+                     "prediction.epsilons", "inf"),
+    "eps0_inf": ("predict", _MODE + "prediction.eps0 = inf\n"
+                 "prediction.spacing = 0.25\n", 4, "prediction.eps0", "inf"),
+    "offsets_nan": ("check-cis", "generator.order = 4\n"
+                    "scheme.offsets = 0, 0.25, nan, 0.75\n", 2, "scheme.offsets",
+                    "nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_FINITE))
+def test_config_numbers_must_be_finite(runner, tmp_path, case):
+    sub, text, line, key, value = NOT_FINITE[case]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept\n")
+    res = runner.invoke(main, [sub, "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert (f"config error: {cfg}:{line}: {key} must be a finite number, "
+            f"got {value!r}") in res.output
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert (out / "kept.txt").read_text() == "kept\n"
+
+
 def test_header_only_signal_file_is_one_line_on_stderr(tmp_path):
     # numpy warns of the empty table on stderr before the refusal
     _write_signal_files(tmp_path)

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import cache
 from math import ceil, comb, factorial, sqrt
@@ -9,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnspredict.generators import (_BLOCK, BSplineGenerator, DaubechiesGenerator,
-                                   Generator, _bspline_pieces,
-                                   _daubechies_table, _expand,
+                                   Generator, _autocorrelation, _bspline_pieces,
+                                   _circle_extremes, _daubechies_table, _expand,
+                                   _refinement_fixed_point,
                                    _refinement_residual, daubechies_taps,
                                    generator_from_descriptor, stability_bounds)
 from pnspredict.moments import reproduction_order
@@ -119,6 +122,34 @@ def test_bspline_piece_tables_are_shared_and_read_only():
     misses = _bspline_pieces.cache_info().misses
     stability_bounds(BSplineGenerator(3))
     assert _bspline_pieces.cache_info().misses == misses
+
+
+def test_autocorrelation_is_shared_per_kind_and_order():
+    # two instances of one order read one entry; no generator is kept
+    first, second = BSplineGenerator(4), BSplineGenerator(4)
+    bounds = stability_bounds(first)
+    corr = _autocorrelation("bspline", 4)
+    sizes = _autocorrelation.cache_info().currsize, _circle_extremes.cache_info().currsize
+    assert stability_bounds(second) == bounds
+    assert _autocorrelation("bspline", 4) is corr
+    assert (_autocorrelation.cache_info().currsize,
+            _circle_extremes.cache_info().currsize) == sizes
+    with pytest.raises(ValueError):
+        corr[0] = 1.0
+    for desc in ({"kind": "bspline", "order": 5},
+                 {"kind": "daubechies", "order": 3, "level": 10}):
+        gen = generator_from_descriptor(desc)
+        stability_bounds(gen)
+        ref = weakref.ref(gen)
+        del gen
+        gc.collect()
+        assert ref() is None
+    # the Daubechies entry is the one the generator's own taps give
+    gen = DaubechiesGenerator(3)
+    n = len(gen.taps) - 1
+    own = _refinement_fixed_point(np.correlate(gen.taps, gen.taps, "full"),
+                                  -n, 1 - n, n)[n - 1:]
+    assert _autocorrelation("daubechies", 3).tobytes() == own.tobytes()
 
 
 def test_bspline_generator_metadata(q4):

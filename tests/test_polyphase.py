@@ -303,6 +303,31 @@ def test_single_power_frame_bound_brackets_the_exact_eigenvalue(name):
     assert char(Fraction(lam) * Fraction(1 + 1e-12)) < 0
 
 
+@pytest.mark.parametrize("name", _SINGLE_POWER)
+def test_one_psi_is_split_once_with_the_bits_of_a_fresh_one(name, monkeypatch):
+    # each question on a fresh Psi, then all three on one Psi, counting the
+    # splits (each reads psi.powers() once)
+    cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+    phi = pp.stability_bounds(cfg.gen)
+    det = det_on_circle(_config_psi(name))
+    frame = frame_bounds(_config_psi(name), *phi)
+    inv = pp.invert_polyphase(_config_psi(name))
+    psi = _config_psi(name)
+    splits = []
+    powers = LaurentMatrix.powers
+    monkeypatch.setattr(LaurentMatrix, "powers",
+                        lambda self: splits.append(self) or powers(self))
+    assert det_on_circle(psi) == det
+    assert frame_bounds(psi, *phi) == frame
+    again = pp.invert_polyphase(psi)
+    assert [m is psi for m in splits] == [True]
+    assert again.coeffs.keys() == inv.coeffs.keys()
+    for k, mat in inv.coeffs.items():
+        assert again.coeffs[k].tobytes() == mat.tobytes()
+    M, e = _single_power(psi)
+    assert not M.flags.writeable and not e.flags.writeable
+
+
 def test_frame_bounds_identity():
     ident = LaurentMatrix(3, {0: np.eye(3)})
     A, B = frame_bounds(ident, 1.0, 1.0)

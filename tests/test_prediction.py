@@ -5,7 +5,7 @@ from math import fsum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnspredict.approximation import TestSignal, approx_operator, builtin_signal
@@ -66,11 +66,42 @@ def test_weights_annihilate_powers(nodes):
         assert abs(fsum(terms) - (j == 0)) <= bound, j
 
 
+def _fraction_weights(nodes) -> list:
+    """The weights carried in Fraction products of the float nodes, rounded
+    once: the reference lagrange_weights must equal bit for bit."""
+    nodes = [Fraction(e) for e in nodes]
+    out = []
+    for p, node in enumerate(nodes):
+        w = Fraction(1)
+        for q, other in enumerate(nodes):
+            if q != p:
+                w *= other / (other - node)
+        out.append(float(w))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                min_size=1, max_size=8, unique=True))
+@example([0.1, 0.2, 0.3, 0.7])
+@example([1 / 3, 2 / 3, 1.0, 4 / 3, 5 / 3])
+@example([-2.5e-7, 1e-300, 3.0, 1e6])
+@example([4.0, 4.25, 4.5, 4.75])
+def test_integer_weights_equal_the_fraction_weights(nodes):
+    # int / int rounds the exact quotient once, as float(Fraction) does
+    nodes = sorted(e for e in nodes if e != 0.0)
+    got, want = lagrange_weights(nodes), _fraction_weights(nodes)
+    assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
 def test_weight_validation():
     with pytest.raises(ValueError):
         lagrange_weights((2.0, 1.0))
     with pytest.raises(ValueError):
         lagrange_weights((0.0, 1.0))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="epsilon nodes must be finite"):
+            lagrange_weights((4.0, 5.0, 6.0, bad))
     with pytest.raises(ValueError):
         equally_spaced_weights(0.0, 1.0, 3)
     with pytest.raises(ValueError):
@@ -205,6 +236,25 @@ def test_kernel_set_derives_its_weights(kernels_quartic_r1):
                          ((3.0, 4.0, 5.0, 6.0), "not be causal")]:
         with pytest.raises(ValueError, match=message):
             KernelSet(ks.gen, ks.scheme, ks.A, ks.B, bad)
+
+
+def test_non_finite_nodes_are_named(tmp_path, kernels_quartic_r1, pred_hermite):
+    # they used to reach Fraction: OverflowError or ValueError on integer ratios
+    ks = kernels_quartic_r1
+    for bad in (np.inf, np.nan):
+        nodes = (4.0, 4.25, 4.5, bad)
+        with pytest.raises(ValueError, match="epsilon nodes must be finite"):
+            KernelSet(ks.gen, ks.scheme, ks.A, ks.B, nodes)
+        with pytest.raises(ValueError, match="epsilon nodes must be finite"):
+            modify_kernels(ks, nodes)
+    path = tmp_path / "prediction.json"
+    save_kernels(pred_hermite, path)
+    doc = json.loads(path.read_text())
+    doc["epsilons"][-1] = float("inf")
+    path.write_text(json.dumps(doc))
+    assert "Infinity" in path.read_text()
+    with pytest.raises(ValueError, match="epsilon nodes must be finite"):
+        load_kernels(path)
 
 
 def test_save_load_round_trip(tmp_path, pred_hermite):
