@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import shutil
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass, replace
 from math import isfinite
@@ -109,9 +110,9 @@ _OFFSET_FAMILIES = {"equally_spaced": SamplingScheme.equally_spaced,
 
 
 # lp_error's finest Simpson pass takes about 400 W (b - a) points (25 W (b - a)
-# panels, doubled three times, two points each).  A file is scored over its
-# whole span, so a span that would put this above 2^22 points (32 MB an
-# array) is refused.
+# panels, doubled three times, two points each) over the signal's window
+# (a, b): a file's own span, else (-8, 10).  A W.list and window that would
+# put this above 2^22 points (32 MB an array) are refused.
 _QUAD_POINTS = 1 << 22
 
 
@@ -368,13 +369,15 @@ def _resolve_config(text: str, source: str) -> RunConfig:
     signal, signal_entry = _resolve_signal(v, fail, scheme)
     if any(w <= 0 for w in v["W.list"]):
         fail("W.list", "all W values must be positive")
-    if v["signal.file"] is not None:
-        W = max(v["W.list"], default=0.0)
-        span = signal.interval[1] - signal.interval[0]
-        if 400.0 * W * span > _QUAD_POINTS:
-            fail("signal.file", f"signal.file {v['signal.file']} spans {span:g} in "
-                 f"t; at W = {W:g} the error quadrature would take about "
-                 f"{400.0 * W * span:.2g} points, more than {_QUAD_POINTS}")
+    W = max(v["W.list"], default=0.0)
+    span = signal.interval[1] - signal.interval[0]
+    if 400.0 * W * span > _QUAD_POINTS:
+        key, what = (("signal.file", f"signal.file {v['signal.file']}")
+                     if v["signal.file"] is not None
+                     else ("W.list", f"signal {signal.name!r}"))
+        fail(key, f"{what} spans {span:g} in t; at W = {W:g} the error "
+             f"quadrature would take about {400.0 * W * span:.2g} points, "
+             f"more than {_QUAD_POINTS}")
     if v["error.p"] < 1:
         fail("error.p", "error.p must be >= 1")
     return RunConfig(gen=gen, scheme=scheme, epsilons=eps, signal=signal,
@@ -448,39 +451,19 @@ def main():
     """Reconstruction and causal prediction in shift-invariant spaces."""
 
 
-def _snapshot(out: Path):
-    """What --out holds before a run: None when it does not exist, else
-    each entry with its bytes (None for an entry that is not a file)."""
-    if not out.is_dir():
-        return None
-    return {path: path.read_bytes() if path.is_file() else None
-            for path in out.iterdir()}
-
-
-def _restore(out: Path, before):
-    """Undo what a refused run wrote: remove out when it did not exist
-    (before is None), else remove every new entry and put back the bytes
-    of every file it overwrote."""
-    if before is None:
-        shutil.rmtree(out, ignore_errors=True)
-        return
-    for path in set(out.iterdir()) - before.keys():
-        path.unlink()                   # the subcommands write files only
-    for path, data in before.items():
-        if data is not None and path.read_bytes() != data:
-            path.write_bytes(data)
-
-
 def _subcommand(name, builtin=None, setup=None):
-    """Register body(cfg, out, grid, quiet) as subcommand `name`.
+    """Register body(cfg, stage, out, grid, quiet) as subcommand `name`.
 
     The command refuses a --grid below 32, the fewest points it writes on a
     `kernels` or `predict` curve (no other subcommand reads --grid),
     resolves --config (else the `builtin` pair of config text and source
-    name), passes the RunConfig through `setup`, creates --out, writes
-    resolved.cfg there, runs the body and exits with its code.  ConfigError
-    exits 2 and SingularSamplePointError exits 3, each with its message on
-    stderr and --out left as the run found it (`_restore`).
+    name) and passes the RunConfig through `setup`.  resolved.cfg and the
+    body's files are written to a fresh staging directory `stage`; `out`
+    (--out) is only named.  Once the body has returned, --out is created and
+    the staged files are copied into it, and the command exits with the
+    body's code.  ConfigError exits 2 and SingularSamplePointError exits 3,
+    each with its message on stderr; like any other error, they leave
+    --out and its parents as the run found them.
     """
     if builtin is None:
         config = click.option("--config", "config_path", required=True,
@@ -504,7 +487,7 @@ def _subcommand(name, builtin=None, setup=None):
     def register(body):
         def command(config_path, out_dir, grid, quiet):
             out = Path(out_dir)
-            before = _snapshot(out)
+            stage = Path(tempfile.mkdtemp())
             try:
                 if grid < 32:
                     raise ConfigError(f"--grid must be >= 32, got {grid}")
@@ -512,17 +495,21 @@ def _subcommand(name, builtin=None, setup=None):
                        else load_config(config_path))
                 if setup is not None:
                     cfg = setup(cfg)
+                _write_resolved(cfg, stage)
+                code = body(cfg, stage, out, grid, quiet)
+                # copied, not renamed: the staging directory may be on
+                # another filesystem
                 out.mkdir(parents=True, exist_ok=True)
-                _write_resolved(cfg, out)
-                code = body(cfg, out, grid, quiet)
+                for path in stage.iterdir():
+                    shutil.copyfile(path, out / path.name)
             except ConfigError as exc:
-                _restore(out, before)
                 click.echo(f"config error: {exc}", err=True)
                 code = EXIT_CONFIG
             except SingularSamplePointError as exc:
-                _restore(out, before)
                 click.echo(f"not a complete interpolation set: {exc}", err=True)
                 code = EXIT_NOT_CIS
+            finally:
+                shutil.rmtree(stage)
             sys.exit(code)
 
         for option in reversed(options):
@@ -533,7 +520,7 @@ def _subcommand(name, builtin=None, setup=None):
 
 
 @_subcommand("check-cis")
-def cmd_check_cis(cfg, out, grid, quiet):
+def cmd_check_cis(cfg, stage, out, grid, quiet):
     """Test the complete-interpolation-set property of the configured scheme."""
     psi = build_polyphase(cfg.gen, cfg.scheme)
     if cfg.scheme.s is not None and cfg.scheme.rho >= cfg.gen.mu:
@@ -551,17 +538,17 @@ def cmd_check_cis(cfg, out, grid, quiet):
     cis = min_abs > CIS_THRESHOLD
     lines.append(f"verdict: {'CIS' if cis else 'not a CIS'} of order "
                  f"{cfg.scheme.r - 1}")
-    (out / "check_cis.txt").write_text("\n".join(lines) + "\n")
+    (stage / "check_cis.txt").write_text("\n".join(lines) + "\n")
     for line in lines:
         _echo(quiet, line)
     return EXIT_OK if cis else EXIT_NOT_CIS
 
 
 @_subcommand("kernels")
-def cmd_kernels(cfg, out, grid, quiet):
+def cmd_kernels(cfg, stage, out, grid, quiet):
     """Build the interpolating kernels and write them with sampled curves."""
     ks = _build_kernel_set(cfg)
-    save_kernels(ks, out / "kernels.json")
+    save_kernels(ks, stage / "kernels.json")
     lo, hi = ks.support
     ts = np.linspace(lo, hi, grid)
     header = ["t"]
@@ -570,7 +557,7 @@ def cmd_kernels(cfg, out, grid, quiet):
         for i in range(cfg.scheme.r):
             header.append(f"theta_{n}_{i}")
             cols.append(ks.kernel(n, i, ts))
-    write_csv(out / "kernel_curves.csv", header,
+    write_csv(stage / "kernel_curves.csv", header,
               [[float(c[k]) for c in cols] for k in range(len(ts))])
     _echo(quiet, f"kernel support [{lo:g}, {hi:g}]")
     for n in range(cfg.scheme.L):
@@ -585,20 +572,20 @@ def cmd_kernels(cfg, out, grid, quiet):
 
 
 @_subcommand("moments")
-def cmd_moments(cfg, out, grid, quiet):
+def cmd_moments(cfg, stage, out, grid, quiet):
     """Report vanishing-moment defects and the reproduction order."""
     report = reproduction_order(_build_kernel_set(cfg))
-    write_csv(out / "moments.csv", ["degree", "defect", "monomial_check"],
+    write_csv(stage / "moments.csv", ["degree", "defect", "monomial_check"],
               zip(range(report.kappa + 1), report.defects, report.cross_defects))
     _echo(quiet, str(report))
     return EXIT_OK
 
 
 @_subcommand("predict")
-def cmd_predict(cfg, out, grid, quiet):
+def cmd_predict(cfg, stage, out, grid, quiet):
     """Run the causal predictor over the configured W values."""
     ps = _require_prediction(cfg, _build_kernel_set(cfg))
-    save_kernels(ps, out / "prediction.json")
+    save_kernels(ps, stage / "prediction.json")
     lo, hi = ps.support
     _echo(quiet, f"support [{lo:g}, {hi:g}]")
     bound = window_bound(ps)
@@ -611,26 +598,26 @@ def cmd_predict(cfg, out, grid, quiet):
         ts = np.linspace(a, b, grid)
         fs = np.asarray(cfg.signal.eval(ts), dtype=float)
         ps_vals = approx_operator(ps, cfg.signal, W, ts)
-        write_csv(out / f"trace_W{W:g}.csv", ["t", "f", "prediction"],
+        write_csv(stage / f"trace_W{W:g}.csv", ["t", "f", "prediction"],
                   [[float(ts[k]), float(fs[k]), float(ps_vals[k])]
                    for k in range(len(ts))])
         err = lp_error(ps, cfg.signal, W, cfg.p)
         errors.append(err)
         _echo(quiet, f"W = {W:g}: L^{cfg.p:g} error {err:.6e}")
-    write_csv(out / "errors.csv", ["W", "error"],
+    write_csv(stage / "errors.csv", ["W", "error"],
               [[float(w), float(e)] for w, e in zip(cfg.W_list, errors)])
     return EXIT_OK
 
 
 @_subcommand("convergence")
-def cmd_convergence(cfg, out, grid, quiet):
+def cmd_convergence(cfg, stage, out, grid, quiet):
     """Fit the error decay rate over the configured W ladder."""
     ks = _build_kernel_set(cfg)
     kset = _require_prediction(cfg, ks) if cfg.epsilons is not None else ks
     if len(cfg.W_list) < 3:
         raise ConfigError(f"{cfg.source}: W.list needs at least three values")
     report = convergence_study(kset, cfg.signal, cfg.W_list, cfg.p)
-    write_csv(out / "convergence.csv", ["W", "error"],
+    write_csv(stage / "convergence.csv", ["W", "error"],
               [[float(w), float(e)] for w, e in report.rows])
     _echo(quiet, str(report))
     return EXIT_OK
@@ -669,9 +656,9 @@ def _equally_spaced_family(cfg: RunConfig) -> RunConfig:
 
 
 @_subcommand("table1", builtin=_TABLE1_BUILTIN, setup=_equally_spaced_family)
-def cmd_table1(cfg, out, grid, quiet):
+def cmd_table1(cfg, stage, out, grid, quiet):
     """Prediction errors over the W ladder for both offset families."""
-    with (out / "resolved.cfg").open("a") as fh:
+    with (stage / "resolved.cfg").open("a") as fh:
         fh.write("# the run covers the chebyshev offset family as well\n")
     L, r, s = cfg.scheme.L, cfg.scheme.r, cfg.scheme.s
     columns = []
@@ -680,7 +667,7 @@ def cmd_table1(cfg, out, grid, quiet):
         columns.append([lp_error(ps, cfg.signal, W, cfg.p) for W in cfg.W_list])
     rows = [[float(W), float(eq), float(ch)]
             for W, eq, ch in zip(cfg.W_list, *columns)]
-    write_csv(out / "table1.csv", ["W", *_OFFSET_FAMILIES], rows)
+    write_csv(stage / "table1.csv", ["W", *_OFFSET_FAMILIES], rows)
     _echo(quiet, f"{'W':>6}  {'equally spaced':>15}  {'chebyshev':>15}")
     for W, eq, ch in rows:
         _echo(quiet, f"{W:6g}  {eq:15.6g}  {ch:15.6g}")

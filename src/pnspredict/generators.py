@@ -121,12 +121,14 @@ class BSplineGenerator(Generator):
         self.approx_order = self.m
 
     def eval(self, t, s: int = 0):
-        if not 0 <= s <= self.m - 1:
+        if not 0 <= s < self.m:     # also for an empty t, which reads no piece
             raise ValueError(f"derivative order {s} out of range for Q_{self.m}")
         return super().eval(t, s)
 
     def piece(self, q, u, s: int = 0) -> np.ndarray:
         """Q_m^(s)(q + u) by Horner on the local polynomial of piece q."""
+        if not 0 <= s < self.m:
+            raise ValueError(f"derivative order {s} out of range for Q_{self.m}")
         coef = _bspline_pieces(self.m)[s][:, q]
         # u * 0.0 carries a NaN u through the constant pieces of Q_m^(m-1)
         val = u * 0.0

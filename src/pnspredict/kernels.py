@@ -64,25 +64,21 @@ def invert_polyphase(psi: LaurentMatrix) -> LaurentMatrix | None:
 
     Otherwise det Psi is not a monomial, so det Psi^{-1} = 1/det Psi is not
     a Laurent polynomial and neither is Psi^{-1}: None is returned, which
-    build_kernels refuses.  Raises SingularSamplePointError when |det M|,
-    or det_on_circle's minimum, is at most CIS_THRESHOLD.
+    build_kernels refuses.  Raises SingularSamplePointError when
+    det_on_circle's minimum (|det M| for a single-power Psi) is at most
+    CIS_THRESHOLD.
     """
-    single = _single_power(psi)
-    if single is not None:
-        M, e = single
-        det = np.linalg.det(M)
-        if abs(det) <= CIS_THRESHOLD:
-            raise SingularSamplePointError(
-                f"|det Psi| = {abs(det):.3e} on the whole circle, "
-                "scheme is not a CIS")
-        inv = np.linalg.inv(M)
-        return LaurentMatrix(psi.dim, {-k: np.where((e == k)[:, None], inv, 0.0)
-                                       for k in sorted(set(e.tolist()))})
     min_abs, argmin = det_on_circle(psi)
     if min_abs <= CIS_THRESHOLD:
         raise SingularSamplePointError(
             f"|det Psi({argmin})| = {min_abs:.3e}, scheme is not a CIS")
-    return None
+    single = _single_power(psi)
+    if single is None:
+        return None
+    M, e = single
+    inv = np.linalg.inv(M)
+    return LaurentMatrix(psi.dim, {-k: np.where((e == k)[:, None], inv, 0.0)
+                                   for k in sorted(set(e.tolist()))})
 
 
 # Nodes of the unshifted, two-sided kernels, whose one weight is 1.
@@ -140,11 +136,17 @@ class KernelSet:
         B = np.asarray(B, dtype=float)
         if A.shape != (rho, rho) or B.shape != (rho, rho):
             raise ValueError("A and B must be rho x rho")
-        # exact zeros: a row the kernels ignore must not reach save_kernels
-        if A[s + 1:].any():
-            raise ValueError("rows s+1..rho-1 of A must vanish")
-        if B[:s + 1].any():
-            raise ValueError("rows 0..s of B must vanish")
+        # row q of A multiplies phi(t - q), row q of B phi(t - (q - rho)); a
+        # row outside the cell's shifts is refused, even one the kernels
+        # would ignore, since save_kernels would write it back
+        if A[s + 1:].any() or B[:s + 1].any():
+            outside = [q - rho for q in range(s + 1) if B[q].any()] + [
+                q for q in range(s + 1, rho) if A[q].any()]
+            raise ValueError(
+                "the kernels would need phi(t - k) at k = "
+                f"{', '.join(map(str, outside))}, outside the shifts "
+                f"{s + 1 - rho}..{s} that offsets in the cell [{s}, {s + 1}) "
+                "allow; choose other scheme.offsets or scheme.r")
         eps = tuple(float(e) for e in epsilons)
         wts = (1.0,)
         if eps != _TWO_SIDED:
@@ -275,8 +277,8 @@ def _series_eval(ks, source, W: float, t):
 def build_kernels(gen, scheme: SamplingScheme,
                   inv: LaurentMatrix | None) -> KernelSet:
     """Assemble the kernel set from the inverse polyphase coefficients; None
-    (no Laurent inverse), powers outside {-1, 0} and kernel shifts outside
-    the window of the offsets' cell are refused."""
+    (no Laurent inverse) and powers outside {-1, 0} are refused, and
+    KernelSet refuses kernel shifts outside the window of the offsets' cell."""
     if inv is None:
         raise ValueError("det Psi is not a monomial, so Psi has no Laurent "
                          "inverse; kernels would not be compactly supported")
@@ -285,19 +287,7 @@ def build_kernels(gen, scheme: SamplingScheme,
         raise ValueError(f"inverse has coefficients at {len(stray)} powers "
                          f"outside {{-1, 0}}, from {stray[0]} to {stray[-1]}; "
                          "kernels would not be compactly supported")
-    A, B = inv.coeff(0), inv.coeff(-1)
-    s, rho = scheme.s, scheme.rho
-    if s is not None:
-        # row q of A multiplies phi(t - q), row q of B phi(t - (q - rho))
-        outside = sorted([q for q in range(s + 1, rho) if A[q].any()]
-                         + [q - rho for q in range(s + 1) if B[q].any()])
-        if outside:
-            raise ValueError(
-                "the kernels would need phi(t - k) at k = "
-                f"{', '.join(map(str, outside))}, outside the shifts "
-                f"{s + 1 - rho}..{s} that offsets in the cell [{s}, {s + 1}) "
-                "allow; choose other scheme.offsets or scheme.r")
-    return KernelSet(gen, scheme, A, B)
+    return KernelSet(gen, scheme, inv.coeff(0), inv.coeff(-1))
 
 
 def reconstruct(ks: KernelSet, samples: dict, t):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import pnspredict
+from pnspredict import approximation, cli
 from pnspredict.cli import (_KEYS, _TABLE1_BUILTIN, DEFAULT_W, EXIT_CONFIG,
                             EXIT_NOT_CIS, EXIT_OK, ConfigError, RunConfig,
                             _resolve_config, load_config, main,
@@ -128,6 +130,17 @@ def test_check_cis_decides_one_cell_schemes_by_det_c(runner, tmp_path):
     assert res.output.splitlines()[1] == "|det Psi| = |det C| on the whole circle"
     assert abs(float(res.output.splitlines()[0].split("=")[1])) <= 1e-12
     assert "not a CIS of order 0" in res.output
+    # a verdict is a finished run: its files reach --out
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "check_cis.txt", "resolved.cfg"]
+    # the inversion refuses det M = 0 by the same test, as exit 3
+    res = runner.invoke(main, ["kernels", "--config", str(cfg), "--out",
+                               str(tmp_path / "k"), "--quiet"])
+    assert res.exit_code == EXIT_NOT_CIS
+    assert res.stderr.splitlines() == [
+        "not a complete interpolation set: |det Psi(0.0)| = 0.000e+00, "
+        "scheme is not a CIS"]
+    assert not (tmp_path / "k").exists()
 
 
 def test_rho_mismatch_is_a_config_error(runner, tmp_path):
@@ -140,11 +153,19 @@ def test_rho_mismatch_is_a_config_error(runner, tmp_path):
     assert "scheme.rho = 5 but L*r = 4" in res.output
 
 
-def test_kernels_command_writes_tables(runner, quartic_cfg, tmp_path):
+def test_kernels_command_writes_tables(runner, quartic_cfg, tmp_path,
+                                       monkeypatch):
+    stages = tmp_path / "stages"
+    stages.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(stages))
     out = tmp_path / "k"
     res = runner.invoke(main, ["kernels", "--config", str(quartic_cfg),
                                "--out", str(out), "--grid", "64"])
     assert res.exit_code == EXIT_OK
+    # the files are copied to --out, and the paths printed are theirs
+    assert list(stages.iterdir()) == []
+    assert res.output.splitlines()[-1] == (f"wrote {out / 'kernels.json'} and "
+                                           f"{out / 'kernel_curves.csv'}")
     assert "kernel support [-3, 4]" in res.output
     assert "theta_0_0(t) = -19 phi(t - 0)" in res.output
     curves = (out / "kernel_curves.csv").read_text()
@@ -443,27 +464,79 @@ def test_signal_expr_not_finite_is_one_line_on_stderr(tmp_path, sub):
                         r"at t = -[0-9.]+: nan", line)
 
 
-@pytest.mark.parametrize("sub", ["predict", "convergence", "table1"])
-def test_a_run_refused_in_its_body_leaves_no_new_file(runner, tmp_path, sub):
-    # sqrt(t) is refused only once the signal is sampled, after resolved.cfg
-    # (and for predict prediction.json) was written
-    cfg = tmp_path / "sqrt.cfg"
-    cfg.write_text((CONFIGS / "quartic_r1.cfg").read_text().replace(
-        "signal.name = f", "signal.expr = np.sqrt(t)"))
+def _assert_out_left_as_found(runner, tmp_path, monkeypatch, args, code):
+    """Run `args` into a fresh nested --out and into a used one: each run
+    exits `code`, creates no parent of --out, gives back the bytes of what
+    it would overwrite, and leaves no staging directory."""
+    stages = tmp_path / "stages"
+    stages.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(stages))
     fresh = tmp_path / "fresh"
-    res = runner.invoke(main, [sub, "--config", str(cfg), "--out", str(fresh)])
-    assert res.exit_code == EXIT_CONFIG
+    res = runner.invoke(main, [*args, "--out", str(fresh / "a" / "b")])
+    assert res.exit_code == code
     assert not fresh.exists()
-    # a used --out gets back the bytes of what the run overwrote: its
-    # resolved.cfg would otherwise echo the refused config
+    # resolved.cfg would otherwise echo the run that did not finish
     used = tmp_path / "used"
     used.mkdir()
     (used / "notes.txt").write_text("kept\n")
     (used / "resolved.cfg").write_text("# an earlier run's\n")
     before = {p.name: p.read_bytes() for p in used.iterdir()}
-    res = runner.invoke(main, [sub, "--config", str(cfg), "--out", str(used)])
-    assert res.exit_code == EXIT_CONFIG
+    res = runner.invoke(main, [*args, "--out", str(used)])
+    assert res.exit_code == code
     assert {p.name: p.read_bytes() for p in used.iterdir()} == before
+    assert list(stages.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub", ["predict", "convergence", "table1"])
+def test_a_run_refused_in_its_body_leaves_no_new_file(runner, tmp_path,
+                                                      monkeypatch, sub):
+    # sqrt(t) is refused only once the signal is sampled, after resolved.cfg
+    # (and for predict prediction.json) was written
+    cfg = tmp_path / "sqrt.cfg"
+    cfg.write_text((CONFIGS / "quartic_r1.cfg").read_text().replace(
+        "signal.name = f", "signal.expr = np.sqrt(t)"))
+    _assert_out_left_as_found(runner, tmp_path, monkeypatch,
+                              [sub, "--config", str(cfg)], EXIT_CONFIG)
+
+
+@pytest.mark.parametrize("sub", ["predict", "convergence", "table1"])
+def test_a_run_stopped_by_an_error_leaves_no_new_file(runner, tmp_path,
+                                                      monkeypatch, sub):
+    # an error no subcommand expects, raised after resolved.cfg (and for
+    # predict prediction.json and a trace) was written, exits 1
+    def broken(*args, **kwargs):
+        raise RuntimeError("lp_error failed")
+
+    monkeypatch.setattr(approximation, "lp_error", broken)
+    monkeypatch.setattr(cli, "lp_error", broken)
+    _assert_out_left_as_found(runner, tmp_path, monkeypatch,
+                              [sub, "--config", str(CONFIGS / "quartic_r1.cfg")],
+                              1)
+
+
+def test_a_w_list_beyond_the_quadrature_bound_is_refused(runner, tmp_path,
+                                                          monkeypatch):
+    # the built-in f spans (-8, 10): W = 3e6 would take about 2.2e10
+    # quadrature points, which used to end in a MemoryError after
+    # resolved.cfg was written.  The bound refuses it before any array.
+    def unreached(*args, **kwargs):
+        raise AssertionError("the run was not refused before the study")
+
+    monkeypatch.setattr(cli, "convergence_study", unreached)
+    cfg = tmp_path / "wide_w.cfg"
+    cfg.write_text((CONFIGS / "quartic_r1.cfg").read_text().replace(
+        "W.list = 5, 7, 10, 15, 20, 25, 30", "W.list = 1e6, 2e6, 3e6"))
+    line = next(i for i, row in enumerate(cfg.read_text().splitlines(), 1)
+                if row.startswith("W.list"))
+    out = tmp_path / "o"
+    out.mkdir()
+    res = runner.invoke(main, ["convergence", "--config", str(cfg), "--out",
+                               str(out)])
+    assert res.exit_code == EXIT_CONFIG
+    assert res.stderr.splitlines() == [
+        f"config error: {cfg}:{line}: signal 'f' spans 18 in t; at W = 3e+06 "
+        "the error quadrature would take about 2.2e+10 points, more than 4194304"]
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("sub", ["check-cis", "kernels", "moments", "predict",

@@ -77,6 +77,20 @@ def test_bspline_eval_input_validation():
         BSplineGenerator(0)
 
 
+@pytest.mark.parametrize("m, s", [(1, -1), (1, 1), (4, -1), (4, 4)])
+@pytest.mark.parametrize("reader", ["piece", "eval"])
+def test_bspline_derivative_order_out_of_range(m, s, reader):
+    # piece used to read s = -1 from the end of its table (Q_m^(m-1)) and
+    # to fail s = m with an IndexError
+    gen = BSplineGenerator(m)
+    with pytest.raises(ValueError, match=f"derivative order {s} out of range "
+                       f"for Q_{m}"):
+        if reader == "piece":
+            gen.piece(0, np.array([0.5]), s)
+        else:
+            gen.eval(np.array([0.5]), s)
+
+
 def _truncated_power(m, s, t):
     """Q_m^(s)(t) in exact arithmetic from the truncated powers
     sum_j (-1)^j C(m, j) (t - j)_+^(m-1-s) / (m-1-s)!, where the power 0 is

@@ -107,6 +107,15 @@ def test_invert_rejects_singular_scheme(q3, scheme_cubic_split):
         invert_polyphase(pp.build_polyphase(q3, scheme_cubic_split))
 
 
+def test_invert_rejects_a_singular_single_power_scheme(q3):
+    # rho = 4 > mu = 3 leaves a zero column: Psi = M diag(z^e), det M = 0
+    psi = pp.build_polyphase(q3, pp.SamplingScheme.equally_spaced(4, 1, 0))
+    assert pp.det_on_circle(psi)[0] == 0.0
+    with pytest.raises(SingularSamplePointError,
+                       match=r"^\|det Psi\(0\.0\)\| = 0\.000e\+00, scheme is not"):
+        invert_polyphase(psi)
+
+
 def test_build_kernels_rejects_stray_powers(q4, scheme_quartic_r1):
     # an inverse with a power outside {-1, 0} gives kernels of wider support
     inv = pp.LaurentMatrix(4, {0: np.eye(4), 1: np.eye(4)})
@@ -387,9 +396,9 @@ def test_zero_row_validation(q4, scheme_quartic_r1, kernels_quartic_r1):
     for entry in (0.5, 1e-12):
         A = kernels_quartic_r1.A.copy()
         A[2, 1] = entry
-        with pytest.raises(ValueError, match="rows s\\+1..rho-1 of A"):
+        with pytest.raises(ValueError, match=r"phi\(t - k\) at k = 2, outside"):
             KernelSet(q4, scheme_quartic_r1, A, kernels_quartic_r1.B)
         B = kernels_quartic_r1.B.copy()
         B[0, 1] = entry
-        with pytest.raises(ValueError, match="rows 0..s of B"):
+        with pytest.raises(ValueError, match=r"phi\(t - k\) at k = -4, outside"):
             KernelSet(q4, scheme_quartic_r1, kernels_quartic_r1.A, B)
