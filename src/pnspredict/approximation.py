@@ -22,11 +22,13 @@ depends on its own t only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from math import ceil, isfinite
+from dataclasses import dataclass, field
+from functools import lru_cache
+from math import ceil, floor, isfinite
 
 import numpy as np
 
+from .generators import _BLOCK
 from .kernels import _series_eval
 
 __all__ = [
@@ -41,14 +43,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestSignal:
-    """A named signal with derivative evaluators and the window (a, b)
-    where lp_error and the predict traces read it."""
+    """A named signal with derivative evaluators, the window (a, b) where
+    lp_error and the predict traces read it, and the t where f may jump or
+    kink (its breaks, which lp_error takes as panel edges)."""
 
     __test__ = False   # keep pytest collection away from the Test prefix
 
     name: str
     derivs: tuple
     interval: tuple = (-8.0, 10.0)
+    # sorted; a signal.file's are its t column, an array, hence no compare
+    breaks: tuple = field(default=(), compare=False)
 
     def eval(self, t, i: int = 0):
         if not 0 <= i < len(self.derivs):
@@ -91,7 +96,7 @@ def builtin_signal(name: str) -> TestSignal:
     if name in ("f", "smooth"):
         return TestSignal("f", (_smooth_f, _smooth_f1, _smooth_f2))
     if name in ("g", "jump"):
-        return TestSignal("g", (_jump_g,), (-4.0, 6.0))
+        return TestSignal("g", (_jump_g,), (-4.0, 6.0), (-1.5, 3.0))
     raise ValueError(f"unknown built-in signal {name!r}")
 
 
@@ -104,48 +109,122 @@ def approx_operator(kset, signal: TestSignal, W: float, t):
 
 # Errors below this are rounding noise: relative changes and slopes mean nothing.
 _NOISE_FLOOR = 1e3 * np.finfo(float).eps
+# lp_error stops when its error estimate is at most this share of the value.
+_REL_TOL = 1e-3
 
 
-def _simpson(vals: np.ndarray, h: float) -> float:
-    w = np.ones(len(vals))
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(h / 3.0 * (w @ vals))
+@lru_cache(maxsize=None)
+def _gauss(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], from
+    the eigenvectors of its Jacobi matrix (Golub-Welsch); made once per n."""
+    k = np.arange(1.0, n)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    rule = (x + 1.0) / 2.0, v[0] ** 2
+    for arr in rule:
+        arr.flags.writeable = False     # shared by every call
+    return rule
 
 
-def _lp_once(kset, signal, W, p, a, b, panels, coarse=None):
-    """One Simpson pass on 2 panels + 1 nodes: the norm and |S_W f - f| at
-    the nodes.  coarse is that difference for panels / 2 panels, whose
-    nodes are every other node here (linspace gives them bit for bit), so
-    only the odd nodes are evaluated; the series and f are pointwise."""
-    ts = np.linspace(a, b, 2 * panels + 1)
-    new = ts if coarse is None else ts[1::2]
-    diff = np.abs(_series_eval(kset, signal, W, new)
-                  - np.asarray(signal.eval(new), dtype=float))
-    if coarse is not None:
-        odd, diff = diff, np.empty(len(ts))
-        diff[::2] = coarse
-        diff[1::2] = odd
-    norm = _simpson(diff ** p, ts[1] - ts[0]) ** (1.0 / p)
-    if not isfinite(norm):
-        # nan > _NOISE_FLOOR is False: a NaN would pass for an exact result
-        bad = np.flatnonzero(~np.isfinite(diff))
-        where = (f": S_W f - f is {diff[bad[0]]:g} at t = {ts[bad[0]]:g}"
-                 if bad.size else "")
-        raise ValueError(f"lp_error at W = {W:g} is not finite{where}")
-    return norm, diff
+def _breakpoint_panels(kset, signal, W, a, b, per_block: int):
+    """Panels (lo, h) of [a, b], about per_block of them at a time, whose
+    edges are a, b and, between them, the breakpoints (k + delta)/W of the
+    series (delta over the nodes' fractional parts: where W t - eps_p meets
+    an integer knot of phi) and the signal's breaks, sorted and distinct."""
+    frac = np.array(sorted({e - floor(e) for e in kset.epsilons}))
+    cells = max(per_block // len(frac), 1)
+    breaks = np.sort(np.asarray(signal.breaks, dtype=float))
+    k = floor(W * a - frac[0])      # (k + frac[0]) / W <= a
+    lo = a
+    while lo < b:
+        knots = ((np.arange(k, k + cells)[:, None] + frac) / W).ravel()
+        # the block ends at the next block's first knot
+        hi = min((k + cells + frac[0]) / W, b)
+        inner = breaks[np.searchsorted(breaks, lo, "right"):
+                       np.searchsorted(breaks, hi, "left")]
+        edges = np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], inner, [hi]])
+        edges.sort()
+        edges = edges[np.concatenate([[True], edges[1:] > edges[:-1]])]
+        yield edges[:-1], np.diff(edges)
+        lo, k = hi, k + cells
 
 
-def lp_error(kset, signal: TestSignal, W: float, p: float = 2.0,
-             quad_n: int = None) -> float:
-    """L^p norm of S_W f - f by composite Simpson quadrature.
+def _panel_rules(kset, signal, W, p, lo, h, n):
+    """G_n and G_(n+1) of |S_W f - f|^p on each panel [lo, lo + h].
+
+    The panels go through in blocks of _BLOCK // (2n + 1), so every array
+    of points is one block.  A difference that is not finite raises
+    ValueError naming W and its t, and so does a p-th power that
+    overflows."""
+    (xa, wa), (xb, wb) = _gauss(n), _gauss(n + 1)
+    x = np.concatenate([xa, xb])
+    lower, upper = np.empty(len(lo)), np.empty(len(lo))
+    step = max(_BLOCK // len(x), 1)
+    for c in range(0, len(lo), step):
+        hc = h[c:c + step]
+        t = (lo[c:c + step, None] + hc[:, None] * x).ravel()   # panel by panel
+        d = _series_eval(kset, signal, W, t)
+        d -= np.asarray(signal.eval(t), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(d))
+        if bad.size:
+            raise ValueError(f"lp_error at W = {W:g} is not finite: S_W f - f is "
+                             f"{d[bad[0]]:g} at t = {t[bad[0]]:g}")
+        np.abs(d, out=d)
+        d **= p
+        bad = np.flatnonzero(~np.isfinite(d))
+        if bad.size:
+            raise ValueError(f"lp_error at W = {W:g} is not finite: |S_W f - f|^p "
+                             f"overflows at t = {t[bad[0]]:g}")
+        d = d.reshape(len(hc), len(x))
+        lower[c:c + step] = hc * (d[:, :n] @ wa)
+        upper[c:c + step] = hc * (d[:, n:] @ wb)
+    return lower, upper
+
+
+def _panel_sums(kset, signal, W, p, a, b, n, per_block, share):
+    """Sums over the breakpoint panels of [a, b] of the finer rule and of
+    the two rules' differences, each panel halved, up to three times,
+    while its difference is above share times its width; and the number
+    of panels still above it."""
+    total = error = 0.0
+    unsettled = 0
+    for lo, h in _breakpoint_panels(kset, signal, W, a, b, per_block):
+        lower, upper = _panel_rules(kset, signal, W, p, lo, h, n)
+        for halvings in range(4):
+            est = np.abs(upper - lower)
+            split = est > share * h
+            if halvings == 3 or not split.any():
+                total += float(upper.sum())
+                error += float(est.sum())
+                unsettled += int(np.count_nonzero(split))
+                break
+            total += float(upper[~split].sum())
+            error += float(est[~split].sum())
+            half = h[split] / 2.0
+            lo = np.concatenate([lo[split], lo[split] + half])
+            h = np.concatenate([half, half])
+            lower, upper = _panel_rules(kset, signal, W, p, lo, h, n)
+    return total, error, unsettled
+
+
+def lp_error(kset, signal: TestSignal, W: float, p: float = 2.0) -> float:
+    """L^p norm of S_W f - f by Gauss-Legendre panels on the breakpoints.
 
     The interval is the signal's window (signal.interval) extended by one
-    kernel support width; quad_n is the number of Simpson panels.  When
-    quad_n is omitted the rule starts at step 1/(50 W) and refines until
-    doubling changes the result by under 0.1 percent; when three doublings
-    do not get there, the last value is returned with a RuntimeWarning
-    (unless it sits at the noise floor, where relative changes are rounding).
+    kernel support width.  Its panels end at the series' breakpoints and
+    the signal's breaks (signal.breaks), so for a B-spline Q_m the series
+    is one polynomial of degree m - 1 on each.  Every panel gets the n- and
+    (n + 1)-point Gauss rules, n = ceil(mu) (m for Q_m), which are exact
+    for |S_W f - f|^2 there whenever f is a polynomial of degree below m.
+    The integral of |S_W f - f|^p is the sum of the finer rule, and the
+    sum of the two rules' differences estimates its error.
+
+    When that estimate is above _REL_TOL = 1e-3 of the value (p times
+    that of the integral), a second pass halves, up to three times, every
+    panel whose difference is above its share, by width, of the allowed
+    error.  If the estimate is still above it, the value is returned with
+    a RuntimeWarning (unless it sits at the noise floor, where relative
+    changes are rounding).  Each pass runs the panels in blocks and keeps
+    running sums only.  A value that is not finite raises ValueError.
     """
     if W <= 0:
         raise ValueError("W must be positive")
@@ -155,23 +234,25 @@ def lp_error(kset, signal: TestSignal, W: float, p: float = 2.0,
     ext = (kset.support[1] - kset.support[0]) / W
     a -= ext
     b += ext
-    if quad_n is not None:
-        if quad_n < 1:
-            raise ValueError("quad_n must be >= 1")
-        return _lp_once(kset, signal, W, p, a, b, int(quad_n))[0]
-    panels = ceil(25.0 * W * (b - a))
-    value, diff = _lp_once(kset, signal, W, p, a, b, panels)
-    for _ in range(3):
-        panels *= 2
-        finer, diff = _lp_once(kset, signal, W, p, a, b, panels, diff)
-        change = abs(finer - value) / max(abs(finer), 1e-300)
-        if change <= 1e-3:
-            return finer
-        value = finer
-    if value > _NOISE_FLOOR:
-        warnings.warn(f"lp_error at W = {W:g} did not converge: {panels} Simpson "
-                      f"panels still changed the result by {change:.2e} relative "
-                      "(criterion 1e-3)", RuntimeWarning, stacklevel=2)
+    n = ceil(kset.gen.mu)
+    per_block = max(_BLOCK // (2 * n + 1), 1)
+    total, error, unsettled = _panel_sums(kset, signal, W, p, a, b, n, per_block,
+                                          np.inf)
+    # the norm is total^(1/p), and (1 + r)^(1/p) - 1 <= r/p
+    allowed = _REL_TOL * p * total
+    if error > allowed:
+        # a quarter block: three halvings make at most two blocks of panels
+        total, error, unsettled = _panel_sums(kset, signal, W, p, a, b, n,
+                                              per_block // 4, allowed / (b - a))
+    if not isfinite(total):
+        raise ValueError(f"lp_error at W = {W:g} is not finite")
+    value = total ** (1.0 / p)
+    if error > allowed and value > _NOISE_FLOOR:
+        warnings.warn(f"lp_error at W = {W:g} did not converge: after three "
+                      f"rounds of halving, {unsettled} panels are still above "
+                      "their share of the error; the estimate is "
+                      f"{error / (p * total):.2e} relative (criterion 1e-3)",
+                      RuntimeWarning, stacklevel=2)
     return value
 
 

@@ -109,10 +109,12 @@ _OFFSET_FAMILIES = {"equally_spaced": SamplingScheme.equally_spaced,
                     "chebyshev": SamplingScheme.chebyshev}
 
 
-# lp_error's finest Simpson pass takes about 400 W (b - a) points (25 W (b - a)
-# panels, doubled three times, two points each) over the signal's window
-# (a, b): a file's own span, else (-8, 10).  A W.list and window that would
-# put this above 2^22 points (32 MB an array) are refused.
+# lp_error's cost grows with W (b - a) over the signal's window (a, b): a
+# file's own span, else (-8, 10).  A W.list and window with 400 W (b - a),
+# the points of the last pass of the Simpson rule this bound was set for,
+# above 2^22 are refused.  The Gauss panels run in fixed blocks and take
+# 36-176 W (b - a) points on the shipped configs, so the bound now caps a
+# run's time, not the size of an array.
 _QUAD_POINTS = 1 << 22
 
 
@@ -241,7 +243,8 @@ def _signal_from_file(path: str) -> TestSignal:
     def f(t):
         return np.interp(t, ts, vs, left=0.0, right=0.0)
 
-    return TestSignal(Path(path).stem, (f,), (float(ts[0]), float(ts[-1])))
+    # the interpolant kinks at every row and jumps to 0 past the ends
+    return TestSignal(Path(path).stem, (f,), (float(ts[0]), float(ts[-1])), ts)
 
 
 _EXPR_BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
@@ -491,6 +494,11 @@ def _subcommand(name, builtin=None, setup=None):
             try:
                 if grid < 32:
                     raise ConfigError(f"--grid must be >= 32, got {grid}")
+                # --out is made once the body has run; a file above it would
+                # stop that only then, with the run's work lost
+                above = next((d for d in out.parents if d.exists()), None)
+                if above is not None and not above.is_dir():
+                    raise ConfigError(f"--out {out_dir}: {above} is not a directory")
                 cfg = (_resolve_config(*builtin) if config_path is None
                        else load_config(config_path))
                 if setup is not None:

@@ -15,7 +15,6 @@ nodes that share a fractional part.  Everything is float64.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, factorial, prod, sqrt
 
@@ -91,21 +90,20 @@ def _bspline_pieces(m: int) -> tuple:
 
     Expanded exactly from the truncated powers
     Q_m(t) = sum_j (-1)^j C(m, j) (t - j)_+^(m-1) / (m-1)!,
-    differentiated exactly, and rounded once.
+    differentiated exactly, and rounded once: every coefficient is an
+    integer over (m-1)!, and int / int is correctly rounded.
     """
-    exact = np.empty((m, m), dtype=object)
-    for q in range(m):
-        for k in range(m):
-            acc = sum((-1) ** j * comb(m, j) * (q - j) ** (m - 1 - k)
-                      for j in range(q + 1))
-            exact[k, q] = Fraction(comb(m - 1, k) * acc, factorial(m - 1))
+    den = factorial(m - 1)
+    num = [[comb(m - 1, k) * sum((-1) ** j * comb(m, j) * (q - j) ** (m - 1 - k)
+                                 for j in range(q + 1))
+            for q in range(m)] for k in range(m)]
     out = []
     for _ in range(m):
-        table = exact.astype(float)
+        table = np.array([[c / den for c in row] for row in num])
         table.flags.writeable = False     # shared by every Q_m
         out.append(table)
         # d/du sum_k c_k u^k = sum_k (k + 1) c_(k+1) u^k
-        exact = exact[1:] * np.arange(1, len(exact))[:, None]
+        num = [[(k + 1) * c for c in row] for k, row in enumerate(num[1:])]
     return tuple(out)
 
 
@@ -239,16 +237,19 @@ def _refinement_residual(h, values, level: int) -> float:
     """sup |sqrt(2) sum_k h_k phi(2t - k) - phi(t)| over the table's t = i 2^-level.
 
     2t - k is the table point 2i - k 2^level, so no interpolation is needed.
+    Only the integer t are read: the cascade wrote each point off the
+    integers with the taps, entries and order of `_tap_sum` that the
+    residual would use there, so its residual there is exactly 0.  At t = j
+    the sum reads the integer values phi(2j - k), in the order of the taps.
     """
-    even = values[::2]
-    terms = [(sqrt(2.0) * hk, even, k << (level - 1)) for k, hk in enumerate(h)]
-    acc, tmp = np.empty((2, _BLOCK))
-    resid = 0.0
-    for a in range(0, len(values), _BLOCK):
-        interp = _tap_sum(terms, a, min(_BLOCK, len(values) - a), acc, tmp)
-        interp -= values[a:a + len(interp)]
-        resid = np.maximum(resid, np.abs(interp, out=interp).max())
-    return float(resid)
+    ints = values[::1 << level]
+    j = np.arange(len(ints))
+    acc = np.zeros(len(ints))
+    for k, hk in enumerate(h):
+        src = 2 * j - k
+        inside = (src >= 0) & (src < len(ints))
+        acc[inside] += sqrt(2.0) * hk * ints[src[inside]]
+    return float(np.abs(acc - ints).max())
 
 
 def _refinement_fixed_point(filt, first: int, lo: int, hi: int) -> np.ndarray:

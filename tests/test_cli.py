@@ -297,6 +297,8 @@ def test_signal_file_config(tmp_path):
     sig = load_config(str(cfg)).signal
     assert sig.eval(0.5) == pytest.approx(0.25, abs=1e-12)
     assert sig.eval(5.0) == 0.0
+    # the interpolant's kinks, and its jumps to 0, are lp_error's panel edges
+    assert np.array_equal(sig.breaks, ts)
 
 
 def test_derivative_scheme_needs_derivative_signal(tmp_path):
@@ -537,6 +539,34 @@ def test_a_w_list_beyond_the_quadrature_bound_is_refused(runner, tmp_path,
         f"config error: {cfg}:{line}: signal 'f' spans 18 in t; at W = 3e+06 "
         "the error quadrature would take about 2.2e+10 points, more than 4194304"]
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub", ["check-cis", "table1"])
+def test_an_out_below_a_file_is_a_config_error(runner, tmp_path, monkeypatch, sub):
+    # it used to end in a NotADirectoryError traceback, exit 1, once the
+    # body had run (table1 computes its whole ladder first)
+    blocker = tmp_path / "somefile"
+    blocker.write_bytes(b"not a directory\n")
+    out = blocker / "sub" / "deeper"
+    res = subprocess.run([sys.executable, "-m", "pnspredict.cli", sub, "--config",
+                          str(CONFIGS / "quartic_r1.cfg"), "--out", str(out),
+                          "--quiet"], capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert res.returncode == EXIT_CONFIG
+    assert res.stderr.splitlines() == [
+        f"config error: --out {out}: {blocker} is not a directory"]
+    assert blocker.read_bytes() == b"not a directory\n"
+    # refused before the config is resolved, so the body never runs
+
+    def body_ran(*args, **kwargs):
+        raise AssertionError("the body ran")
+
+    monkeypatch.setattr(cli, "load_config", body_ran)
+    monkeypatch.setattr(cli, "_resolve_config", body_ran)
+    res = runner.invoke(main, [sub, "--config", str(CONFIGS / "quartic_r1.cfg"),
+                               "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG
+    assert blocker.read_bytes() == b"not a directory\n"
 
 
 @pytest.mark.parametrize("sub", ["check-cis", "kernels", "moments", "predict",

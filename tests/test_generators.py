@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pnspredict import generators
 from pnspredict.generators import (_BLOCK, BSplineGenerator, DaubechiesGenerator,
                                    Generator, _autocorrelation, _bspline_pieces,
                                    _circle_extremes, _daubechies_table, _expand,
                                    _refinement_fixed_point,
-                                   _refinement_residual, daubechies_taps,
+                                   _refinement_residual, _tap_sum, daubechies_taps,
                                    generator_from_descriptor, stability_bounds)
 from pnspredict.moments import reproduction_order
 
@@ -482,22 +483,57 @@ def test_refinement_residual_matches_interp(d):
     assert resid < 1e-14
 
 
+def _full_table_residual(h, values, level):
+    """The residual over every table point, block by block through
+    _tap_sum, as the check read it before it kept to the integer points."""
+    even = values[::2]
+    terms = [(sqrt(2.0) * hk, even, k << (level - 1)) for k, hk in enumerate(h)]
+    acc, tmp = np.empty((2, _BLOCK))
+    resid = 0.0
+    for a in range(0, len(values), _BLOCK):
+        interp = _tap_sum(terms, a, min(_BLOCK, len(values) - a), acc, tmp)
+        interp -= values[a:a + len(interp)]
+        resid = np.maximum(resid, np.abs(interp, out=interp).max())
+    return float(resid)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_refinement_residual_is_the_full_table_residual(d):
+    # off the integers the cascade wrote each value as the residual would
+    # recompute it, so reading the integer points alone loses nothing
+    for level in (1, 2, 5, 12):
+        h, values = _daubechies_table.__wrapped__(d, level)
+        assert _refinement_residual(h, values, level) == _full_table_residual(
+            h, values, level)
+
+
 def test_refinement_residual_sees_a_perturbed_entry():
     h, values = _mask_cascade(3, 8)
     bad = values.copy()
-    bad[3 * 2 ** 7 + 11] += 1e-6
+    bad[3 * 2 ** 8] += 1e-6
     assert _refinement_residual(h, values, 8) < 1e-14
     assert _refinement_residual(h, bad, 8) > 1e-8
 
 
-def test_refinement_residual_sees_an_entry_at_every_block_edge():
-    # level 14 spans several blocks and ends in a one-entry block
+def test_refinement_residual_sees_every_integer_entry():
     h, values = _daubechies_table.__wrapped__(2, 14)
     assert _refinement_residual(h, values, 14) < 1e-14
-    for i in (0, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 7, len(values) - 2, len(values) - 1):
+    for j in range(4):
         bad = values.copy()
-        bad[i] += 1e-6
-        assert _refinement_residual(h, bad, 14) > 1e-8, i
+        bad[j << 14] += 1e-6
+        assert _refinement_residual(h, bad, 14) > 1e-8, j
+
+
+def test_a_broken_integer_value_stops_the_table(monkeypatch):
+    def broken(*args):
+        v = _refinement_fixed_point(*args)
+        v[1] += 1e-6
+        return v
+
+    monkeypatch.setattr(generators, "_refinement_fixed_point", broken)
+    with pytest.raises(RuntimeError, match="cascade failed to converge: "
+                       "refinement residual"):
+        _daubechies_table.__wrapped__(3, 8)
 
 
 def _traced_peak(fn, *args):

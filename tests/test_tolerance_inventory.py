@@ -15,8 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pnspredict"
 
 # (module, literal as written) -> occurrences
 TOLERANCES = {
-    ("approximation", "1e-3"): 1,     # lp_error's relative stop rule
-    ("approximation", "1e-300"): 1,   # floor of the norm it divides by
+    ("approximation", "1e-3"): 1,     # lp_error's relative stop rule, _REL_TOL
     ("generators", "1e-10"): 3,       # daubechies_taps' filter checks
     ("generators", "1e-8"): 2,        # cascade residual, eigenvalue 1
     ("moments", "1e-6"): 1,           # floor of the monomial-check guard
