@@ -101,9 +101,8 @@ def builtin_signal(name: str) -> TestSignal:
 
 
 def approx_operator(kset, signal: TestSignal, W: float, t):
-    """Value of the sampling series S_W f at t (scalar or array)."""
-    if W <= 0:
-        raise ValueError("W must be positive")
+    """Value of the sampling series S_W f at t (scalar or array); W must be
+    positive (ValueError otherwise)."""
     return _series_eval(kset, signal, W, t)
 
 

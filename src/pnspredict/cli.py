@@ -109,12 +109,9 @@ _OFFSET_FAMILIES = {"equally_spaced": SamplingScheme.equally_spaced,
                     "chebyshev": SamplingScheme.chebyshev}
 
 
-# lp_error's cost grows with W (b - a) over the signal's window (a, b): a
-# file's own span, else (-8, 10).  A W.list and window with 400 W (b - a),
-# the points of the last pass of the Simpson rule this bound was set for,
-# above 2^22 are refused.  The Gauss panels run in fixed blocks and take
-# 36-176 W (b - a) points on the shipped configs, so the bound now caps a
-# run's time, not the size of an array.
+# lp_error's run time grows with W (b - a) over the signal's window (a, b):
+# a file's own span, else (-8, 10).  A W.list and window with
+# 400 W (b - a) above 2^22 are refused before the run, which caps its time.
 _QUAD_POINTS = 1 << 22
 
 
@@ -378,9 +375,9 @@ def _resolve_config(text: str, source: str) -> RunConfig:
         key, what = (("signal.file", f"signal.file {v['signal.file']}")
                      if v["signal.file"] is not None
                      else ("W.list", f"signal {signal.name!r}"))
-        fail(key, f"{what} spans {span:g} in t; at W = {W:g} the error "
-             f"quadrature would take about {400.0 * W * span:.2g} points, "
-             f"more than {_QUAD_POINTS}")
+        fail(key, f"{what} spans {span:g} in t; at W = {W:g}, 400 W (b - a) = "
+             f"{400.0 * W * span:.2g} is above the error quadrature's bound "
+             f"{_QUAD_POINTS}")
     if v["error.p"] < 1:
         fail("error.p", "error.p must be >= 1")
     return RunConfig(gen=gen, scheme=scheme, epsilons=eps, signal=signal,
@@ -531,13 +528,13 @@ def _subcommand(name, builtin=None, setup=None):
 def cmd_check_cis(cfg, stage, out, grid, quiet):
     """Test the complete-interpolation-set property of the configured scheme."""
     psi = build_polyphase(cfg.gen, cfg.scheme)
+    # the verdict is invert_polyphase's: det_on_circle's minimum against
+    # CIS_THRESHOLD; det C, where it exists, is printed as information
+    min_abs, argmin = det_on_circle(psi)
     if cfg.scheme.s is not None and cfg.scheme.rho >= cfg.gen.mu:
-        # det Psi = +-z^k det C: the one number settles the question
-        det_c = cis_determinant(cfg.gen, cfg.scheme)
-        min_abs = abs(det_c)
-        lines = [f"det C = {det_c!r}", "|det Psi| = |det C| on the whole circle"]
+        lines = [f"det C = {cis_determinant(cfg.gen, cfg.scheme)!r}",
+                 "|det Psi| = |det C| on the whole circle"]
     else:
-        min_abs, argmin = det_on_circle(psi)
         lines = ["det C = n/a (offsets span cells or rho < mu)",
                  f"min |det Psi| = {min_abs!r} at x = {argmin!r}"]
     phi_min, phi_max = stability_bounds(cfg.gen)
@@ -600,11 +597,10 @@ def cmd_predict(cfg, stage, out, grid, quiet):
     _echo(quiet, f"past samples per evaluation <= "
                  f"{cfg.scheme.rho * bound} (|window| <= {bound})")
     _echo(quiet, f"reproduction order kappa = {reproduction_order(ps).kappa}")
-    a, b = cfg.signal.interval
+    ts = np.linspace(*cfg.signal.interval, grid)
+    fs = np.asarray(cfg.signal.eval(ts), dtype=float)
     errors = []
     for W in cfg.W_list:
-        ts = np.linspace(a, b, grid)
-        fs = np.asarray(cfg.signal.eval(ts), dtype=float)
         ps_vals = approx_operator(ps, cfg.signal, W, ts)
         write_csv(stage / f"trace_W{W:g}.csv", ["t", "f", "prediction"],
                   [[float(ts[k]), float(fs[k]), float(ps_vals[k])]

@@ -205,34 +205,29 @@ def _periods(ks, x) -> np.ndarray:
 def _samples(ks, source, W: float, periods: np.ndarray) -> np.ndarray:
     """W^-i f^(i)((x_n + rho l)/W) for every offset n, channel i and l in periods.
 
-    source is a map (n, i, l) -> f^(i)((x_n + rho l)/W), an object with
-    .eval(t, i), a sequence of per-derivative callables, or a bare callable
-    when r = 1.  Callables receive all the sample times of a channel as one
-    array.  A map that lacks a sample raises KeyError.
+    source is a map (n, i, l) -> f^(i)((x_n + rho l)/W) or a signal, an
+    object with .eval(t, i) that receives all the sample times of a channel
+    as one array; anything else raises TypeError.  A map that lacks a
+    sample raises KeyError.
     """
+    is_map = isinstance(source, dict)
+    if not (is_map or hasattr(source, "eval")):
+        raise TypeError("samples must be a map (n, i, l) -> value or a signal "
+                        f"with .eval(t, i), not {type(source).__name__}")
     scheme = ks.scheme
     rho = scheme.rho
     out = np.empty((scheme.L, scheme.r, len(periods)))
     for n, x in enumerate(scheme.offsets):
         times = (x + rho * periods) / W
         for i in range(scheme.r):
-            if isinstance(source, dict):
+            if is_map:
                 try:
                     vals = [source[n, i, l] for l in periods.tolist()]
                 except KeyError as exc:
                     raise KeyError(f"missing sample for offset {x}, derivative "
                                    f"{i}, period {exc.args[0][2]}") from None
-            elif hasattr(source, "eval"):
-                vals = source.eval(times, i)
-            elif isinstance(source, (list, tuple)):
-                vals = source[i](times)
-            elif callable(source) and i == 0:
-                vals = source(times)
-            elif callable(source):
-                raise TypeError("a bare callable provides no derivatives; pass "
-                                "a sequence of callables or a signal object")
             else:
-                raise TypeError(f"unsupported sample source {type(source).__name__}")
+                vals = source.eval(times, i)
             out[n, i] = np.asarray(vals, dtype=float) * W ** (-i)
     return out
 
@@ -258,14 +253,17 @@ def _series_coefs(ks, samples: np.ndarray, periods: np.ndarray):
 
 def _series_eval(ks, source, W: float, t):
     """The sampling series sum_l sum_{n,i} W^-i f^(i)((x_n + rho l)/W)
-    K_ni(W t - rho l) at t: a float for a scalar t, else an array.
+    K_ni(W t - rho l) at t: a float for a scalar t, else an array.  W must
+    be positive (ValueError otherwise).
 
-    source is any sample source `_samples` reads; the samples are taken
+    source is a map or a signal, as `_samples` reads it; the samples are taken
     over the periods whose closed window holds some W t (`_periods`), made
     into one coefficient sequence (`_series_coefs`) and expanded against
     the nodes (`_expand`).  The points may come in any order, and each is
     evaluated as a 1-element batch would be.
     """
+    if W <= 0:
+        raise ValueError("W must be positive")
     arr = np.asarray(t, dtype=float)
     wt = W * np.atleast_1d(arr)
     periods = _periods(ks, wt)

@@ -15,7 +15,6 @@ CIRCLE_GRID as one stack of matrices, one batched numpy call each.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import ceil, cos, floor, pi
 
@@ -32,8 +31,8 @@ __all__ = [
     "zak_transform",
 ]
 
-# |det| above this declares a complete interpolation set; see also the
-# near-singular warning band in cis_determinant.
+# The one CIS verdict: det_on_circle's minimum of |det Psi| above this
+# declares a complete interpolation set (invert_polyphase and check-cis).
 CIS_THRESHOLD = 1e-9
 # The one grid on the circle, x = k/256.  The generators are real, so
 # det Psi(-x) = conj(det Psi(x)) is real at x = 0 and x = 1/2; those are the
@@ -168,7 +167,9 @@ def cis_determinant(gen, scheme: SamplingScheme) -> float:
 
     Valid when rho >= mu and all offsets share one cell [s, s+1); then
     det Psi(x) = (-1)^((s+1)(rho-1)) z^(rho-s-1) times this value, so the
-    single number settles the CIS question.
+    single number settles the CIS question.  check-cis prints it as
+    information; the verdict reads det_on_circle, which takes |det M| from
+    the columns of Psi, so it may differ from |det C| in its last bits.
     """
     rho = scheme.rho
     if rho < gen.mu:
@@ -181,11 +182,7 @@ def cis_determinant(gen, scheme: SamplingScheme) -> float:
     C = np.empty((rho, rho))
     for p in range(r):
         C[p::r] = gen.eval(pts, p)
-    det = float(np.linalg.det(C))
-    if 1e-12 <= abs(det) <= CIS_THRESHOLD:
-        warnings.warn(f"near-singular interpolation determinant {det:.3e}",
-                      RuntimeWarning, stacklevel=2)
-    return det
+    return float(np.linalg.det(C))
 
 
 def _single_power(psi: LaurentMatrix):

@@ -90,11 +90,9 @@ def window_bound(ps: KernelSet) -> int:
 def predict(ps: KernelSet, samples, W: float, t: float) -> float:
     """Causal predictor value (S~_W f)(t) from past samples only.
 
-    samples may be a map (n, i, l) -> value, a signal object with
-    .eval(t, i), a sequence of per-derivative callables, or a bare callable
-    when r = 1; callables take arrays.  A map must hold every period of
-    past_window.  The value equals approx_operator(ps, samples, W, t).
+    samples is a map (n, i, l) -> value, which must hold every period of
+    past_window, or a signal with .eval(t, i) taking arrays; anything else
+    raises TypeError.  W must be positive (ValueError otherwise).  The
+    value equals approx_operator(ps, samples, W, t).
     """
-    if W <= 0:
-        raise ValueError("W must be positive")
     return _series_eval(ps, samples, W, float(t))

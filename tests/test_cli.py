@@ -11,11 +11,12 @@ import pytest
 from click.testing import CliRunner
 
 import pnspredict
-from pnspredict import approximation, cli
+from pnspredict import approximation, cli, kernels, polyphase
 from pnspredict.cli import (_KEYS, _TABLE1_BUILTIN, DEFAULT_W, EXIT_CONFIG,
                             EXIT_NOT_CIS, EXIT_OK, ConfigError, RunConfig,
                             _resolve_config, load_config, main,
                             parse_config_text, write_csv)
+from pnspredict.polyphase import build_polyphase, cis_determinant, det_on_circle
 from pnspredict.prediction import lagrange_weights
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,8 +120,9 @@ def test_check_cis_rejects_split_cells(runner, tmp_path):
     assert "not a CIS of order 1" in res.output
 
 
-def test_check_cis_decides_one_cell_schemes_by_det_c(runner, tmp_path):
-    # rho = 4 > mu = 3 leaves C a zero column: det C = 0 is the verdict
+def test_check_cis_refuses_a_one_cell_scheme_as_the_inversion_does(runner, tmp_path):
+    # rho = 4 > mu = 3 leaves C and M a zero column: det C = 0 is printed,
+    # and |det M| = 0 is the verdict of check-cis and of the inversion
     cfg = tmp_path / "wide.cfg"
     cfg.write_text("generator.order = 3\nscheme.offset_mode = equally_spaced\n"
                    "scheme.L = 4\n")
@@ -141,6 +143,27 @@ def test_check_cis_decides_one_cell_schemes_by_det_c(runner, tmp_path):
         "not a complete interpolation set: |det Psi(0.0)| = 0.000e+00, "
         "scheme is not a CIS"]
     assert not (tmp_path / "k").exists()
+
+
+@pytest.mark.parametrize("name", ["quartic_r1_chebyshev", "db3_r1",
+                                  "quartic_hermite"])
+def test_check_cis_and_kernels_give_one_verdict(runner, tmp_path, monkeypatch,
+                                                name):
+    # |det C| and |det M| differ in their last bits on these configs.  With
+    # the threshold at the smaller one, a check-cis that compared |det C|
+    # disagreed with the inversion: exit 0 against 3, or 3 against 0.
+    cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+    det_c = abs(cis_determinant(cfg.gen, cfg.scheme))
+    det_m, _ = det_on_circle(build_polyphase(cfg.gen, cfg.scheme))
+    assert det_c != det_m
+    for module in (polyphase, kernels, cli):
+        monkeypatch.setattr(module, "CIS_THRESHOLD", min(det_c, det_m),
+                            raising=False)
+    want = EXIT_OK if det_m > det_c else EXIT_NOT_CIS
+    for sub in ("check-cis", "kernels"):
+        res = runner.invoke(main, [sub, "--config", str(CONFIGS / f"{name}.cfg"),
+                                   "--out", str(tmp_path / sub), "--quiet"])
+        assert res.exit_code == want, (sub, res.output)
 
 
 def test_rho_mismatch_is_a_config_error(runner, tmp_path):
@@ -415,7 +438,8 @@ def test_shipped_configs_exit_as_documented(runner, tmp_path, name):
         else:
             [line] = res.stderr.splitlines()
             assert reason in line, line
-    # det C decides a one-cell scheme: no circle scan, so no argmin
+    # a one-cell scheme prints det C, and |det M| needs no circle scan, so
+    # no argmin
     text = (tmp_path / "check-cis" / "check_cis.txt").read_text()
     assert ("at x =" in text) == name.endswith("split_cells"), text
 
@@ -518,9 +542,9 @@ def test_a_run_stopped_by_an_error_leaves_no_new_file(runner, tmp_path,
 
 def test_a_w_list_beyond_the_quadrature_bound_is_refused(runner, tmp_path,
                                                           monkeypatch):
-    # the built-in f spans (-8, 10): W = 3e6 would take about 2.2e10
-    # quadrature points, which used to end in a MemoryError after
-    # resolved.cfg was written.  The bound refuses it before any array.
+    # the built-in f spans (-8, 10): W = 3e6 gives 400 W (b - a) = 2.2e10,
+    # far above the bound.  Such a W used to end in a MemoryError after
+    # resolved.cfg was written; the bound refuses it before any array.
     def unreached(*args, **kwargs):
         raise AssertionError("the run was not refused before the study")
 
@@ -536,8 +560,8 @@ def test_a_w_list_beyond_the_quadrature_bound_is_refused(runner, tmp_path,
                                str(out)])
     assert res.exit_code == EXIT_CONFIG
     assert res.stderr.splitlines() == [
-        f"config error: {cfg}:{line}: signal 'f' spans 18 in t; at W = 3e+06 "
-        "the error quadrature would take about 2.2e+10 points, more than 4194304"]
+        f"config error: {cfg}:{line}: signal 'f' spans 18 in t; at W = 3e+06, "
+        "400 W (b - a) = 2.2e+10 is above the error quadrature's bound 4194304"]
     assert list(out.iterdir()) == []
 
 
@@ -674,9 +698,9 @@ CONFIG_ERRORS = {
                            "finite in data row 3: t = inf, f = 3"),
     # a file is scored over its whole span, and lp_error's cost grows with it
     "long_signal_file": ("predict", _MODE + "signal.file = {tmp}/long.csv\n", 4,
-                         "signal.file {tmp}/long.csv spans 10000 in t; at W = 30 "
-                         "the error quadrature would take about 1.2e+08 points, "
-                         "more than 4194304"),
+                         "signal.file {tmp}/long.csv spans 10000 in t; at W = 30, "
+                         "400 W (b - a) = 1.2e+08 is above the error "
+                         "quadrature's bound 4194304"),
 }
 
 

@@ -183,6 +183,15 @@ def test_daubechies_taps_match_published():
     assert np.abs(np.asarray(h) - DB3_TAPS).max() < 1e-10
 
 
+def test_daubechies_taps_build_up_to_order_eleven():
+    # one orthonormality check at 1e-10: polyroots' rounding passes it up to
+    # d = 11 and fails it from d = 12
+    for d in range(2, 12):
+        assert len(daubechies_taps(d)) == 2 * d
+    with pytest.raises(RuntimeError, match="filter orthonormality check failed"):
+        daubechies_taps(12)
+
+
 def test_daubechies_taps_orthonormal():
     for d in (2, 3, 4):
         h = np.asarray(daubechies_taps(d))

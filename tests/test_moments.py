@@ -4,7 +4,8 @@ from math import ceil, comb, factorial, floor
 import numpy as np
 import pytest
 
-from pnspredict import BSplineGenerator, KernelSet, SamplingScheme, modify_kernels
+from pnspredict import (BSplineGenerator, KernelSet, SamplingScheme, TestSignal,
+                        modify_kernels)
 from pnspredict.kernels import _periods, _series_eval
 from pnspredict.moments import (MomentReport, _monomial_cross_checks, moment_defects,
                                reproduction_order)
@@ -189,10 +190,11 @@ def test_one_pass_equals_kernel_by_kernel_and_degree_by_degree(request, name):
     assert moment_defects(ks, degree, ts) == tuple(np.abs(acc).max(axis=1).tolist())
     cross = []
     for j in range(degree + 1):
-        derivs = [lambda t, i=i: (factorial(j) / factorial(j - i) * t ** (j - i)
-                                  if i <= j else 0.0 * t)
-                  for i in range(ks.scheme.r)]
-        err = np.abs(_series_eval(ks, derivs, 1.0, ts) - ts ** j).max()
+        monomial = TestSignal("t^j", tuple(
+            lambda t, i=i: (factorial(j) / factorial(j - i) * t ** (j - i)
+                            if i <= j else 0.0 * t)
+            for i in range(ks.scheme.r)))
+        err = np.abs(_series_eval(ks, monomial, 1.0, ts) - ts ** j).max()
         cross.append(float(err) / max(1.0, float(np.abs(ts ** j).max())))
     assert _monomial_cross_checks(ks, degree, ts) == tuple(cross)
 

@@ -177,10 +177,12 @@ def test_predict_dict_samples_and_missing_key(pred_quartic_r1,
 @pytest.mark.parametrize("pred", ["pred_quartic_r1", "pred_hermite", "pred_db3",
                                   "pred_quartic_r1_nondyadic"])
 def test_predict_equals_the_operator_for_every_sample_source(request, pred):
+    # the two sources: a map of the window's samples, and a signal (the
+    # built-in one, or one wrapped around the derivative callables)
     ps = request.getfixturevalue(pred)
     scheme = ps.scheme
     sig = builtin_signal("f")
-    derivs = list(sig.derivs[:scheme.r])
+    wrapped = TestSignal("wrapped", tuple(sig.derivs[:scheme.r]))
     for W, t in ((1.0, 0.3), (5.0, -1.7), (20.0, 2.45)):
         periods = np.array(sorted(past_window(scheme, ps, W, t)))
         samples = {}
@@ -189,10 +191,28 @@ def test_predict_equals_the_operator_for_every_sample_source(request, pred):
             for i in range(scheme.r):
                 samples.update(((n, i, l), v) for l, v
                                in zip(periods.tolist(), sig.eval(times, i)))
-        sources = [sig, samples, derivs] + ([sig.f] if scheme.r == 1 else [])
         expected = approx_operator(ps, sig, W, t)
-        for source in sources:
+        for source in (samples, sig, wrapped):
             assert predict(ps, source, W, t) == expected
+
+
+def test_predict_takes_a_map_or_a_signal_only(pred_quartic_r1):
+    # callables, bare or in a list, are no sample source: wrap them in a
+    # TestSignal
+    sig = builtin_signal("f")
+    for source in ([sig.f], sig.f, 3):
+        with pytest.raises(TypeError, match=r"^samples must be a map \(n, i, l\) "
+                           r"-> value or a signal with \.eval\(t, i\), not "):
+            predict(pred_quartic_r1, source, 5.0, 0.3)
+
+
+@pytest.mark.parametrize("W", [0.0, -1.0])
+def test_the_series_refuses_w_at_most_zero(pred_quartic_r1, W):
+    sig = builtin_signal("f")
+    with pytest.raises(ValueError, match="^W must be positive$"):
+        predict(pred_quartic_r1, sig, W, 0.3)
+    with pytest.raises(ValueError, match="^W must be positive$"):
+        approx_operator(pred_quartic_r1, sig, W, np.linspace(-1.0, 1.0, 5))
 
 
 def test_modify_kernels_defaults_to_lagrange(kernels_quartic_r1,

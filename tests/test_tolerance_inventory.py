@@ -16,11 +16,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pnspredict"
 # (module, literal as written) -> occurrences
 TOLERANCES = {
     ("approximation", "1e-3"): 1,     # lp_error's relative stop rule, _REL_TOL
-    ("generators", "1e-10"): 3,       # daubechies_taps' filter checks
+    ("generators", "1e-10"): 1,       # daubechies_taps' orthonormality check
     ("generators", "1e-8"): 2,        # cascade residual, eigenvalue 1
     ("moments", "1e-6"): 1,           # floor of the monomial-check guard
     ("moments", "1e-8"): 1,           # reproduction_order's default tol
-    ("polyphase", "1e-12"): 1,        # lower edge of the near-singular warning
     ("polyphase", "1e-9"): 1,         # CIS_THRESHOLD
 }
 
