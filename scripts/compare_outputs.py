@@ -4,17 +4,19 @@
     python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a tree's src/ directory.  Every subcommand runs on every
-config in this repository's configs/, and table1 once more on its built-in
-set-up, in a fresh `python3 -m pnspredict.cli` process with PYTHONPATH set
-to the tree's src/.  Both trees write to the same --out path, one after the
-other, so the paths printed and the path lengths agree.
+config in this repository's configs/, table1 once more on its built-in
+set-up, and every subcommand once with --help (so a changed option or help
+text shows), each in a fresh `python3 -m pnspredict.cli` process with
+PYTHONPATH set to the tree's src/.  Both trees write to the same --out
+path, one after the other, so the paths printed and the path lengths agree.
 
 For each run it reports the two exit codes, and for stdout, stderr and each
 output file either "identical" (the same bytes) or the largest relative
 change |a - b| / max(|a|, |b|) of each numeric column: a CSV column by its
 header, a JSON file by its top-level key, and a text line by its words
 with the numbers replaced by '#' and its spaces collapsed.  A difference in
-anything but numbers is reported as such.  The script decides nothing: it
+anything but numbers is reported as such, and the last line names the
+runs that differ.  The script decides nothing: it
 holds no tolerance and always exits 0 once both trees have run.
 """
 
@@ -50,12 +52,14 @@ def source_dir(path: Path) -> Path:
 
 
 def runs():
-    """(label, argv) of every run: each subcommand on each config, then the
-    built-in table1."""
+    """(label, argv) of every run: each subcommand on each config, the
+    built-in table1, then each subcommand's --help."""
     for cfg in sorted((ROOT / "configs").glob("*.cfg")):
         for sub in SUBCOMMANDS:
             yield f"{sub} {cfg.stem}", [sub, "--config", str(cfg)]
     yield "table1 built-in", ["table1"]
+    for sub in SUBCOMMANDS:
+        yield f"{sub} --help", [sub, "--help"]
 
 
 def run_tree(src: Path, work: Path, store: Path) -> dict:
@@ -158,7 +162,7 @@ def main():
         old = run_tree(parent, tmp, tmp / "parent")
         new = run_tree(change, tmp, tmp / "change")
         print(f"parent {parent}\nchange {change}")
-        differing = 0
+        differing = []
         for label, (code_a, out_a, err_a, dir_a) in old.items():
             code_b, out_b, err_b, dir_b = new[label]
             report = [f"exit code: {code_a} -> {code_b}" if code_a != code_b
@@ -179,10 +183,12 @@ def main():
                               else f"{fname}:\n      " + "\n      ".join(lines))
             same = code_a == code_b and all(line.endswith("identical")
                                             for line in report)
-            differing += not same
+            if not same:
+                differing.append(label)
             print(f"{label}\n    " + "\n    ".join(report))
         print(f"{len(old)} runs: " + ("identical" if not differing else
-                                      f"{differing} differ"))
+                                      f"{len(differing)} differ: "
+                                      + ", ".join(differing)))
 
 
 if __name__ == "__main__":

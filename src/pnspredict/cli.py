@@ -24,12 +24,12 @@ from .approximation import (TestSignal, approx_operator, builtin_signal,
                             convergence_study, lp_error)
 from .generators import (BSplineGenerator, DaubechiesGenerator,
                          stability_bounds)
-from .kernels import (KernelSet, SingularSamplePointError, build_kernels,
-                      invert_polyphase, save_kernels)
+from .kernels import (KernelSet, SingularSamplePointError, _causal_weights,
+                      build_kernels, invert_polyphase, save_kernels)
 from .moments import reproduction_order
 from .polyphase import (CIS_THRESHOLD, SamplingScheme, build_polyphase,
                         cis_determinant, det_on_circle, frame_bounds)
-from .prediction import lagrange_weights, modify_kernels, window_bound
+from .prediction import modify_kernels, window_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -129,8 +129,8 @@ class RunConfig:
     @property
     def weights(self):
         """The nodes' Lagrange weights, None without nodes."""
-        return None if self.epsilons is None else tuple(
-            lagrange_weights(self.epsilons))
+        return None if self.epsilons is None else _causal_weights(
+            self.epsilons, self.scheme.rho)
 
 
 def _resolve_generator(v: dict, fail):
@@ -197,21 +197,19 @@ def _resolve_prediction(v: dict, fail, scheme: SamplingScheme):
              "prediction.eps0")
     if eps is None and eps0 is None:
         return None
+    if eps is None:
+        if d is None:
+            fail("prediction.eps0", "prediction.spacing is required "
+                 "with prediction.eps0")
+        if d <= 0:
+            fail("prediction.spacing", "spacing must be positive")
+        eps = tuple(eps0 + p * d for p in range(scheme.rho))
     try:
-        if eps is None:
-            if d is None:
-                fail("prediction.eps0", "prediction.spacing is required "
-                     "with prediction.eps0")
-            if d <= 0:
-                fail("prediction.eps0", "spacing must be positive")
-            if eps0 <= 0:
-                fail("prediction.eps0", "eps0 must be positive")
-            eps = tuple(eps0 + p * d for p in range(scheme.rho))
-        lagrange_weights(eps)   # refuses unordered or zero nodes
+        _causal_weights(eps, scheme.rho)
     except ValueError as exc:
         fail("prediction.epsilons" if eps0 is None else "prediction.eps0",
              str(exc))
-    return tuple(eps)
+    return eps
 
 
 def _signal_from_file(path: str) -> TestSignal:
@@ -440,10 +438,7 @@ def _require_prediction(cfg: RunConfig, ks: KernelSet):
     if cfg.epsilons is None:
         raise ConfigError(f"{cfg.source}: prediction.epsilons (or "
                           "prediction.eps0 + prediction.spacing) is required")
-    try:
-        return modify_kernels(ks, cfg.epsilons)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.source}: {exc}")
+    return modify_kernels(ks, cfg.epsilons)
 
 
 @click.group()
@@ -451,37 +446,29 @@ def main():
     """Reconstruction and causal prediction in shift-invariant spaces."""
 
 
-def _subcommand(name, builtin=None, setup=None):
+def _subcommand(name, builtin=None):
     """Register body(cfg, stage, out, grid, quiet) as subcommand `name`.
 
     The command refuses a --grid below 32, the fewest points it writes on a
-    `kernels` or `predict` curve (no other subcommand reads --grid),
+    `kernels` or `predict` curve (no other subcommand reads --grid), and
     resolves --config (else the `builtin` pair of config text and source
-    name) and passes the RunConfig through `setup`.  resolved.cfg and the
-    body's files are written to a fresh staging directory `stage`; `out`
-    (--out) is only named.  Once the body has returned, --out is created and
-    the staged files are copied into it, and the command exits with the
-    body's code.  ConfigError exits 2 and SingularSamplePointError exits 3,
+    name).  resolved.cfg and the body's files are written to a fresh
+    staging directory `stage`; `out` (--out) is only named.  Once the body
+    has returned, --out is created and the staged files are copied into it,
+    and the command exits with the body's code.  ConfigError exits 2 and SingularSamplePointError exits 3,
     each with its message on stderr; like any other error, they leave
     --out and its parents as the run found them.
     """
-    if builtin is None:
-        config = click.option("--config", "config_path", required=True,
-                              type=click.Path(), help="flat dotted-key config file")
-        helps = ("output directory", "points of the kernels and predict curves",
-                 "suppress progress output")
-    else:
-        config = click.option("--config", "config_path", default=None,
-                              type=click.Path(), help="optional config "
-                              "overriding the built-in quartic setup")
-        helps = (None, None, None)      # table1 lists these three without text
     options = [
-        config,
+        click.option("--config", "config_path", required=builtin is None,
+                     type=click.Path(),
+                     help="flat dotted-key config file" if builtin is None else
+                     "optional config overriding the built-in quartic setup"),
         click.option("--out", "out_dir", default="out", show_default=True,
-                     type=click.Path(file_okay=False), help=helps[0]),
-        click.option("--grid", default=256, show_default=True,
-                     type=int, help=helps[1]),
-        click.option("--quiet", is_flag=True, help=helps[2]),
+                     type=click.Path(file_okay=False), help="output directory"),
+        click.option("--grid", default=256, show_default=True, type=int,
+                     help="points of the kernels and predict curves"),
+        click.option("--quiet", is_flag=True, help="suppress progress output"),
     ]
 
     def register(body):
@@ -498,8 +485,6 @@ def _subcommand(name, builtin=None, setup=None):
                     raise ConfigError(f"--out {out_dir}: {above} is not a directory")
                 cfg = (_resolve_config(*builtin) if config_path is None
                        else load_config(config_path))
-                if setup is not None:
-                    cfg = setup(cfg)
                 _write_resolved(cfg, stage)
                 code = body(cfg, stage, out, grid, quiet)
                 # copied, not renamed: the staging directory may be on
@@ -616,10 +601,10 @@ def cmd_predict(cfg, stage, out, grid, quiet):
 @_subcommand("convergence")
 def cmd_convergence(cfg, stage, out, grid, quiet):
     """Fit the error decay rate over the configured W ladder."""
-    ks = _build_kernel_set(cfg)
-    kset = _require_prediction(cfg, ks) if cfg.epsilons is not None else ks
     if len(cfg.W_list) < 3:
         raise ConfigError(f"{cfg.source}: W.list needs at least three values")
+    ks = _build_kernel_set(cfg)
+    kset = _require_prediction(cfg, ks) if cfg.epsilons is not None else ks
     report = convergence_study(kset, cfg.signal, cfg.W_list, cfg.p)
     write_csv(stage / "convergence.csv", ["W", "error"],
               [[float(w), float(e)] for w, e in report.rows])
@@ -644,10 +629,11 @@ error.p = 2
 """, "<builtin quartic setup>")
 
 
-def _equally_spaced_family(cfg: RunConfig) -> RunConfig:
-    """cfg on the equally spaced offsets of its (L, r, s): the first of
-    table1's two offset families, and the one resolved.cfg records.  Other
-    offsets would be replaced without a word, so they are refused."""
+@_subcommand("table1", builtin=_TABLE1_BUILTIN)
+def cmd_table1(cfg, stage, out, grid, quiet):
+    """Prediction errors over the W ladder for both offset families."""
+    # the families of the config's (L, r, s); other offsets would be
+    # replaced without a word, so they are refused
     L, r, s = cfg.scheme.L, cfg.scheme.r, cfg.scheme.s
     if s is None:
         raise ConfigError(f"{cfg.source}: offsets must lie in one cell")
@@ -656,18 +642,13 @@ def _equally_spaced_family(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"{cfg.source}: table1 runs the equally spaced and "
                           "chebyshev offsets of the scheme's (L, r, s); give "
                           "scheme.offset_mode instead of scheme.offsets")
-    return replace(cfg, scheme=families[0])
-
-
-@_subcommand("table1", builtin=_TABLE1_BUILTIN, setup=_equally_spaced_family)
-def cmd_table1(cfg, stage, out, grid, quiet):
-    """Prediction errors over the W ladder for both offset families."""
+    # resolved.cfg, written from the config, records the first family instead
+    _write_resolved(replace(cfg, scheme=families[0]), stage)
     with (stage / "resolved.cfg").open("a") as fh:
         fh.write("# the run covers the chebyshev offset family as well\n")
-    L, r, s = cfg.scheme.L, cfg.scheme.r, cfg.scheme.s
     columns = []
-    for family in _OFFSET_FAMILIES.values():
-        ps = _require_prediction(cfg, _build_kernel_set(cfg, family(L, r, s)))
+    for scheme in families:
+        ps = _require_prediction(cfg, _build_kernel_set(cfg, scheme))
         columns.append([lp_error(ps, cfg.signal, W, cfg.p) for W in cfg.W_list])
     rows = [[float(W), float(eq), float(ch)]
             for W, eq, ch in zip(cfg.W_list, *columns)]

@@ -18,9 +18,10 @@ A kernel set may also carry nodes eps_p, which shift it into the past
 
 again a finite table of shifted copies of phi.  The weights a_p are the
 nodes' Lagrange weights (lagrange_weights), so the nodes fix them.  The
-two-sided kernels are the case eps = (0,), a = (1,).  A set keeps only its
-coefficient rows and its nodes; the weights and term tables are derived
-from them.
+two-sided kernels are the case eps = (0,), a = (1,).  A set keeps A and B
+(which save_kernels writes and modify_kernels rebuilds from), the
+coefficient rows they give, and its nodes; the weights are derived from
+the nodes, and the term tables from the rows and the nodes.
 """
 
 from __future__ import annotations
@@ -117,6 +118,19 @@ def lagrange_weights(epsilons) -> list:
     return out
 
 
+def _causal_weights(eps: tuple, rho: int) -> tuple:
+    """The Lagrange weights of causal nodes: rho finite, strictly increasing,
+    nonzero nodes from eps_0 >= rho, so that the shifted kernels read past
+    samples only (ValueError otherwise)."""
+    if len(eps) != rho:
+        raise ValueError(f"need exactly rho = {rho} epsilon nodes, got {len(eps)}")
+    wts = tuple(lagrange_weights(eps))
+    if eps[0] < rho:
+        raise ValueError(f"eps0 = {eps[0]} < rho = {rho}: shifted kernels "
+                         "would not be causal")
+    return wts
+
+
 class KernelSet:
     """Compactly supported interpolating kernels for one scheme.
 
@@ -148,15 +162,7 @@ class KernelSet:
                 f"{s + 1 - rho}..{s} that offsets in the cell [{s}, {s + 1}) "
                 "allow; choose other scheme.offsets or scheme.r")
         eps = tuple(float(e) for e in epsilons)
-        wts = (1.0,)
-        if eps != _TWO_SIDED:
-            if len(eps) != rho:
-                raise ValueError(f"need exactly rho = {rho} epsilon nodes, "
-                                 f"got {len(eps)}")
-            wts = tuple(lagrange_weights(eps))  # refuses unordered nodes
-            if eps[0] < rho:
-                raise ValueError(f"eps0 = {eps[0]} < rho = {rho}: shifted "
-                                 "kernels would not be causal")
+        wts = (1.0,) if eps == _TWO_SIDED else _causal_weights(eps, rho)
         self.gen = gen
         self.scheme = scheme
         self.A = A

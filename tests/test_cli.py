@@ -258,6 +258,20 @@ def test_convergence_needs_three_W(runner, tmp_path):
     assert res.exit_code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_convergence_counts_w_before_building_kernels(runner, tmp_path, order):
+    # the split-cell scheme has no kernels: under Q3 it is no CIS (exit 3),
+    # under Q4 its det Psi is no monomial; the short W.list used to be
+    # reported only after either refusal
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(f"generator.order = {order}\nscheme.offsets = 0.5, 2.5\n"
+                   "scheme.r = 2\nW.list = 5, 10\n")
+    res = runner.invoke(main, ["convergence", "--config", str(cfg),
+                               "--out", str(tmp_path / "v")])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert res.stderr == f"config error: {cfg}: W.list needs at least three values\n"
+
+
 def test_table1_command(runner, tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text("generator.order = 4\nscheme.offset_mode = equally_spaced\n"
@@ -291,6 +305,8 @@ def test_signal_expression_config(runner, tmp_path):
     cfg.write_text("generator.order = 4\nscheme.offset_mode = equally_spaced\n"
                    "scheme.L = 4\nsignal.expr = np.cos(t)\nW.list = 20\n")
     assert load_config(str(cfg)).signal.eval(0.0) == 1.0
+    cfg.write_text(_MODE + "signal.expr = np.cos(pi * t) + e\n")
+    assert load_config(str(cfg)).signal.eval(1.0) == np.cos(np.pi) + np.e
     cfg.write_text("generator.order = 4\nscheme.offset_mode = equally_spaced\n"
                    "scheme.L = 4\nsignal.expr = nonsense(t)\n")
     res = runner.invoke(main, ["check-cis", "--config", str(cfg),
@@ -349,7 +365,7 @@ def test_default_W_ladder():
 @pytest.mark.parametrize("text, line, message", [
     ("generator.order = 4\nscheme.offset_mode = equally_spaced\nscheme.L = 4\n"
      "prediction.eps0 = 2\nprediction.spacing = 0.25\nW.list = 5, 20\n",
-     None, "eps0 = 2.0 < rho = 4"),
+     4, "eps0 = 2.0 < rho = 4"),
     ("generator.order = 2\nscheme.offset_mode = equally_spaced\nscheme.L = 1\n"
      "scheme.r = 2\nprediction.eps0 = 4\nprediction.spacing = 0.25\n"
      "W.list = 5, 20\n", 4, "scheme needs derivatives up to order 1"),
@@ -357,12 +373,11 @@ def test_default_W_ladder():
 def test_table1_config_errors_exit_2(runner, tmp_path, text, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
-    where = f"{cfg}" if line is None else f"{cfg}:{line}"
     for sub in ("table1", "predict"):
         res = runner.invoke(main, [sub, "--config", str(cfg),
                                    "--out", str(tmp_path / sub)])
         assert res.exit_code == EXIT_CONFIG
-        assert f"config error: {where}: {message}" in res.output
+        assert f"config error: {cfg}:{line}: {message}" in res.output
 
 
 @pytest.mark.parametrize("eps0, spacing, L", [(4.1, 0.3, 4), (6.0, 0.1, 6)])
@@ -382,8 +397,8 @@ def test_spaced_nodes_take_lagrange_weights(tmp_path, eps0, spacing, L):
 @pytest.mark.parametrize("eps0, spacing, message", [
     (4.0, 0.0, "spacing must be positive"),
     (4.0, -0.25, "spacing must be positive"),
-    (0.0, 0.25, "eps0 must be positive"),
-    (-1.0, 0.25, "eps0 must be positive"),
+    (0.0, 0.25, "epsilon nodes must be nonzero"),
+    (-1.0, 0.25, "eps0 = -1.0 < rho = 4"),
 ])
 def test_spaced_nodes_need_positive_eps0_and_spacing(tmp_path, eps0, spacing,
                                                     message):
@@ -391,7 +406,9 @@ def test_spaced_nodes_need_positive_eps0_and_spacing(tmp_path, eps0, spacing,
     cfg.write_text("generator.order = 4\nscheme.offset_mode = equally_spaced\n"
                    f"scheme.L = 4\nprediction.eps0 = {eps0}\n"
                    f"prediction.spacing = {spacing}\n")
-    with pytest.raises(ConfigError, match=rf"bad\.cfg:4: {message}"):
+    # the refusal names the line of the key at fault
+    line = 5 if spacing <= 0 else 4
+    with pytest.raises(ConfigError, match=rf"bad\.cfg:{line}: {message}"):
         load_config(str(cfg))
 
 
@@ -451,13 +468,9 @@ SHARED_HELP = [
     ("--quiet", "suppress progress output"),
     ("--help", "Show this message and exit."),
 ]
-TABLE1_HELP = [
-    ("--config PATH", "optional config overriding the built-in quartic setup"),
-    ("--out DIRECTORY", "[default: out]"),
-    ("--grid INTEGER", "[default: 256]"),
-    ("--quiet", ""),
-    ("--help", "Show this message and exit."),
-]
+# table1's --config is optional: without it, table1 reads its built-in set-up
+TABLE1_HELP = [("--config PATH", "optional config overriding the built-in "
+                "quartic setup")] + SHARED_HELP[1:]
 
 
 @pytest.mark.parametrize("sub", ["check-cis", "kernels", "moments", "predict",
@@ -636,6 +649,15 @@ CONFIG_ERRORS = {
                     "scheme.L = 3 but 4 offsets given"),
     "s_disagrees": ("check-cis", _OFFSETS + "scheme.s = 1\n", 3,
                     "scheme.s = 1 but offsets lie in cell [0, 1)"),
+    "no_offsets": ("check-cis", "generator.order = 4\n", None,
+                   "scheme.offsets or scheme.offset_mode is required"),
+    "offsets_unordered": ("check-cis", "generator.order = 4\n"
+                          "scheme.offsets = 0.5, 0.25\n", 2,
+                          "offsets must be strictly increasing"),
+    "expr_raises": ("check-cis", _MODE + "signal.expr = np.left_shift(t, 1)\n", 4,
+                    "signal.expr failed to evaluate: "),
+    "table1_split_cells": ("table1", "generator.order = 4\nscheme.offsets = 0.5, 2.5\n"
+                           "scheme.r = 2\n", None, "offsets must lie in one cell"),
     "epsilons_and_eps0": ("predict", _MODE + "prediction.epsilons = 4, 5, 6, 7\n"
                           "prediction.eps0 = 4\n", 5,
                           "give either prediction.epsilons or prediction.eps0"),
@@ -712,6 +734,32 @@ def _write_signal_files(tmp_path):
     (tmp_path / "nan.csv").write_text("t,v\n0,1\n0.5,nan\n1,2\n")
     (tmp_path / "inf.csv").write_text("t,v\n0,1\n1,2\ninf,3\n")
     (tmp_path / "long.csv").write_text("t,v\n0,0\n10000,0\n")
+
+
+# Nodes that give no causal predictor, on the line of their key: (config
+# text, line, message).  Every subcommand resolves the nodes it is given.
+NODE_ERRORS = {
+    "count": (_MODE + "prediction.epsilons = 4, 5, 6\n", 4,
+              "need exactly rho = 4 epsilon nodes, got 3"),
+    "eps0_below_rho": (_MODE + "prediction.eps0 = 2\nprediction.spacing = 0.25\n",
+                       4, "eps0 = 2.0 < rho = 4: shifted kernels would not be causal"),
+    "unordered": (_MODE + "prediction.epsilons = 4, 6, 5, 7\n", 4,
+                  "epsilon nodes must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NODE_ERRORS))
+@pytest.mark.parametrize("sub", ["check-cis", "kernels", "moments", "predict",
+                                 "convergence", "table1"])
+def test_every_subcommand_refuses_nodes_on_their_line(runner, tmp_path, sub, case):
+    text, line, message = NODE_ERRORS[case]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    res = runner.invoke(main, [sub, "--config", str(cfg),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert res.stderr == f"config error: {cfg}:{line}: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))

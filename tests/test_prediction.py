@@ -213,6 +213,8 @@ def test_the_series_refuses_w_at_most_zero(pred_quartic_r1, W):
         predict(pred_quartic_r1, sig, W, 0.3)
     with pytest.raises(ValueError, match="^W must be positive$"):
         approx_operator(pred_quartic_r1, sig, W, np.linspace(-1.0, 1.0, 5))
+    with pytest.raises(ValueError, match="^W must be positive$"):
+        past_window(pred_quartic_r1.scheme, pred_quartic_r1, W, 0.3)
 
 
 def test_modify_kernels_defaults_to_lagrange(kernels_quartic_r1,
