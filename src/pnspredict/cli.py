@@ -124,7 +124,7 @@ class RunConfig:
     signal_entry: tuple     # (key, value) the signal was read from
     W_list: tuple
     p: float
-    source: str
+    fail: object            # fail(key, msg) raises a ConfigError at key's line
 
     @property
     def weights(self):
@@ -158,6 +158,8 @@ def _resolve_scheme(v: dict, fail, gen):
     if offsets is not None and mode is not None:
         fail("scheme.offset_mode",
              "give either scheme.offsets or scheme.offset_mode, not both")
+    if r < 1:
+        fail("scheme.r", f"derivative count must be a positive integer, got {r}")
     try:
         if offsets is not None:
             scheme = SamplingScheme(offsets, r)
@@ -170,15 +172,17 @@ def _resolve_scheme(v: dict, fail, gen):
         else:
             fail("scheme.offsets", "scheme.offsets or scheme.offset_mode is required")
     except ValueError as exc:
-        fail("scheme.offsets" if offsets is not None else "scheme.offset_mode",
-             str(exc))
+        # offset_mode sets the number of offsets by L and their place by s
+        fail("scheme.offsets" if offsets is not None
+             else "scheme.L" if L < 1 else "scheme.s", str(exc))
     if rho is not None and rho != scheme.rho:
         fail("scheme.rho", f"scheme.rho = {rho} but L*r = {scheme.rho}")
     if L is not None and L != scheme.L:
         fail("scheme.L", f"scheme.L = {L} but {scheme.L} offsets given")
-    if s is not None and scheme.s is not None and s != scheme.s:
-        fail("scheme.s", f"scheme.s = {s} but offsets lie in cell "
-             f"[{scheme.s}, {scheme.s + 1})")
+    if s is not None and s != scheme.s:
+        where = ("span cells" if scheme.s is None
+                 else f"lie in cell [{scheme.s}, {scheme.s + 1})")
+        fail("scheme.s", f"scheme.s = {s} but offsets {where}")
     # the samples take derivatives of phi up to order r - 1
     if gen.regularity < r - 1:
         fail("scheme.r", f"scheme needs derivatives up to order {r - 1} but the "
@@ -212,28 +216,28 @@ def _resolve_prediction(v: dict, fail, scheme: SamplingScheme):
     return eps
 
 
-def _signal_from_file(path: str) -> TestSignal:
+def _signal_from_file(path: str, fail) -> TestSignal:
     try:
         with warnings.catch_warnings():
             # an empty table is refused below in one line, not also warned of
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if len(rows) == 0:
-            raise ConfigError(f"signal.file {path} has no data rows")
+            fail("signal.file", f"signal.file {path} has no data rows")
         ts, vs = rows[:, 0], rows[:, 1]
     except (OSError, ValueError, IndexError) as exc:
-        raise ConfigError(f"cannot read signal.file {path}: {exc}")
+        fail("signal.file", f"cannot read signal.file {path}: {exc}")
     bad = np.flatnonzero(~(np.isfinite(ts) & np.isfinite(vs)))
     if bad.size:
         i = int(bad[0])
-        raise ConfigError(f"signal.file {path} holds a value that is not finite "
-                          f"in data row {i + 1}: t = {ts[i]:g}, f = {vs[i]:g}")
+        fail("signal.file", f"signal.file {path} holds a value that is not "
+             f"finite in data row {i + 1}: t = {ts[i]:g}, f = {vs[i]:g}")
     # np.interp reads a t column that is not increasing without a word
     down = np.flatnonzero(~(ts[1:] > ts[:-1]))
     if down.size:
         i = int(down[0])
-        raise ConfigError(f"the t column of signal.file {path} is not strictly "
-                          f"increasing: {ts[i]:g} then {ts[i + 1]:g}")
+        fail("signal.file", f"the t column of signal.file {path} is not "
+             f"strictly increasing: {ts[i]:g} then {ts[i + 1]:g}")
 
     def f(t):
         return np.interp(t, ts, vs, left=0.0, right=0.0)
@@ -248,12 +252,12 @@ _EXPR_UNOPS = {ast.UAdd: np.positive, ast.USub: np.negative}
 _EXPR_CONSTANTS = {"pi": np.pi, "e": np.e}
 
 
-def _expr_value(node, t):
+def _expr_value(node, t, fail):
     """Evaluate a whitelisted expression tree at t.
 
     Allowed: the name t, numeric literals, pi and e, arithmetic and unary
     operators, and calls np.<ufunc>(args) with positional inputs only.
-    Anything else raises ConfigError, so config text runs no other code.
+    Anything else is refused through fail, so config text runs no other code.
     """
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         return float(node.value)
@@ -263,10 +267,10 @@ def _expr_value(node, t):
         if node.id in _EXPR_CONSTANTS:
             return _EXPR_CONSTANTS[node.id]
     if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
-        return _EXPR_BINOPS[type(node.op)](_expr_value(node.left, t),
-                                           _expr_value(node.right, t))
+        return _EXPR_BINOPS[type(node.op)](_expr_value(node.left, t, fail),
+                                           _expr_value(node.right, t, fail))
     if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNOPS:
-        return _EXPR_UNOPS[type(node.op)](_expr_value(node.operand, t))
+        return _EXPR_UNOPS[type(node.op)](_expr_value(node.operand, t, fail))
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
             and not node.keywords):
@@ -274,36 +278,39 @@ def _expr_value(node, t):
         # at most nin arguments: a further positional one would be `out`
         if (isinstance(fn, np.ufunc) and len(node.args) == fn.nin
                 and not any(isinstance(a, ast.Starred) for a in node.args)):
-            return fn(*(_expr_value(a, t) for a in node.args))
-    raise ConfigError(f"signal.expr: {ast.unparse(node)!r} is not allowed "
-                      "(use t, numbers, pi, e, arithmetic and np.<ufunc> calls)")
+            return fn(*(_expr_value(a, t, fail) for a in node.args))
+    fail("signal.expr", f"signal.expr: {ast.unparse(node)!r} is not allowed "
+         "(use t, numbers, pi, e, arithmetic and np.<ufunc> calls)")
 
 
-def _signal_from_expr(expr: str) -> TestSignal:
+def _signal_from_expr(expr: str, fail) -> TestSignal:
     try:
         tree = ast.parse(expr, mode="eval").body
     except (SyntaxError, RecursionError) as exc:
-        raise ConfigError(f"signal.expr is not an expression: {exc}")
+        fail("signal.expr", f"signal.expr is not an expression: {exc}")
 
     def f(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(all="ignore"):
-            v = np.broadcast_to(np.asarray(_expr_value(tree, t), dtype=float),
+            v = np.broadcast_to(np.asarray(_expr_value(tree, t, fail), dtype=float),
                                 t.shape)
         bad = ~np.isfinite(v)
         if bad.any():
-            raise ConfigError(f"signal.expr {expr!r} is not finite at "
-                              f"t = {t[bad][0]:g}: {v[bad][0]:g}")
+            fail("signal.expr", f"signal.expr {expr!r} is not finite at "
+                 f"t = {t[bad][0]:g}: {v[bad][0]:g}")
         return v
 
     try:
         f(np.array([0.0, 0.5]))
     except (ArithmeticError, RecursionError, TypeError, ValueError) as exc:
-        raise ConfigError(f"signal.expr failed to evaluate: {exc}")
+        fail("signal.expr", f"signal.expr failed to evaluate: {exc}")
     return TestSignal("expr", (f,))
 
 
-_SIGNAL_READERS = {"signal.name": builtin_signal, "signal.expr": _signal_from_expr,
+# Each reader refuses through fail, which locates a refusal once; the
+# library's builtin_signal raises ValueError instead.
+_SIGNAL_READERS = {"signal.name": lambda name, fail: builtin_signal(name),
+                   "signal.expr": _signal_from_expr,
                    "signal.file": _signal_from_file}
 
 
@@ -315,8 +322,8 @@ def _resolve_signal(v: dict, fail, scheme: SamplingScheme):
         fail(given[1], "give only one of signal.name / signal.expr / signal.file")
     key, raw = (given[0], v[given[0]]) if given else ("signal.name", "f")
     try:
-        signal = _SIGNAL_READERS[key](raw)
-    except (ConfigError, ValueError) as exc:
+        signal = _SIGNAL_READERS[key](raw, fail)
+    except ValueError as exc:
         fail(key, str(exc))
     if scheme.r > len(signal.derivs):
         # a default f that lacks channels is the fault of scheme.r
@@ -337,29 +344,29 @@ def load_config(path: str) -> RunConfig:
 def _resolve_config(text: str, source: str) -> RunConfig:
     """The run configuration of config text; `source` names it in errors.
 
-    Every key is checked against `_KEYS` and every value read once, each
-    complaint on its line; the cross-key rules follow, and `fail(key, msg)`
-    names the key's line (only the source when the key is absent).
+    `fail(key, msg)` is the one refusal: it names the key's line (only the
+    source when the key is absent).  Every key is checked against `_KEYS`
+    and every value read once; the cross-key rules follow, and the run
+    refuses later faults through `RunConfig.fail`.
     """
     entries = parse_config_text(text, source)
-    for key, (_, line) in entries.items():
-        if key not in _KEYS:
-            raise ConfigError(f"{source}:{line}: unknown key {key!r}")
-    v = {key: default for key, (_, default) in _KEYS.items()}
-    for key, (raw, line) in entries.items():
-        read = _KEYS[key][0]
-        try:
-            v[key] = read(raw)
-        except _NotFinite as exc:
-            raise ConfigError(f"{source}:{line}: {key} must be a finite number, "
-                              f"got {exc.args[0]!r}")
-        except ValueError:
-            raise ConfigError(f"{source}:{line}: {key} must be {_MUST_BE[read]}, "
-                              f"got {raw!r}")
 
     def fail(key, msg):
         where = f"{source}:{entries[key][1]}" if key in entries else source
         raise ConfigError(f"{where}: {msg}")
+
+    for key in entries:
+        if key not in _KEYS:
+            fail(key, f"unknown key {key!r}")
+    v = {key: default for key, (_, default) in _KEYS.items()}
+    for key, (raw, _) in entries.items():
+        read = _KEYS[key][0]
+        try:
+            v[key] = read(raw)
+        except _NotFinite as exc:
+            fail(key, f"{key} must be a finite number, got {exc.args[0]!r}")
+        except ValueError:
+            fail(key, f"{key} must be {_MUST_BE[read]}, got {raw!r}")
 
     gen = _resolve_generator(v, fail)
     scheme = _resolve_scheme(v, fail, gen)
@@ -380,7 +387,7 @@ def _resolve_config(text: str, source: str) -> RunConfig:
         fail("error.p", "error.p must be >= 1")
     return RunConfig(gen=gen, scheme=scheme, epsilons=eps, signal=signal,
                      signal_entry=signal_entry, W_list=v["W.list"],
-                     p=v["error.p"], source=source)
+                     p=v["error.p"], fail=fail)
 
 
 def _fmt(v) -> str:
@@ -398,11 +405,7 @@ def write_csv(path, header, rows):
 
 
 def _write_resolved(cfg: RunConfig, out: Path):
-    desc = cfg.gen.descriptor()
-    lines = [f"generator.kind = {desc['kind']}",
-             f"generator.order = {desc['order']}"]
-    if "level" in desc:
-        lines.append(f"generator.level = {desc['level']}")
+    lines = [f"generator.{k} = {v}" for k, v in cfg.gen.descriptor().items()]
     lines += [f"scheme.r = {cfg.scheme.r}",
               f"scheme.L = {cfg.scheme.L}",
               f"scheme.rho = {cfg.scheme.rho}"]
@@ -425,19 +428,19 @@ def _echo(quiet: bool, msg: str):
 
 def _build_kernel_set(cfg: RunConfig, scheme: SamplingScheme = None) -> KernelSet:
     """Kernels of cfg.gen on `scheme` (default cfg.scheme); a scheme that
-    kernel synthesis rejects is a ConfigError."""
+    kernel synthesis rejects is refused at the scheme.offsets line."""
     scheme = cfg.scheme if scheme is None else scheme
     try:
         psi = build_polyphase(cfg.gen, scheme)
         return build_kernels(cfg.gen, scheme, invert_polyphase(psi))
     except ValueError as exc:
-        raise ConfigError(f"{cfg.source}: {exc}")
+        cfg.fail("scheme.offsets", str(exc))
 
 
 def _require_prediction(cfg: RunConfig, ks: KernelSet):
     if cfg.epsilons is None:
-        raise ConfigError(f"{cfg.source}: prediction.epsilons (or "
-                          "prediction.eps0 + prediction.spacing) is required")
+        cfg.fail("prediction.epsilons", "prediction.epsilons (or "
+                 "prediction.eps0 + prediction.spacing) is required")
     return modify_kernels(ks, cfg.epsilons)
 
 
@@ -602,7 +605,7 @@ def cmd_predict(cfg, stage, out, grid, quiet):
 def cmd_convergence(cfg, stage, out, grid, quiet):
     """Fit the error decay rate over the configured W ladder."""
     if len(cfg.W_list) < 3:
-        raise ConfigError(f"{cfg.source}: W.list needs at least three values")
+        cfg.fail("W.list", "W.list needs at least three values")
     ks = _build_kernel_set(cfg)
     kset = _require_prediction(cfg, ks) if cfg.epsilons is not None else ks
     report = convergence_study(kset, cfg.signal, cfg.W_list, cfg.p)
@@ -636,12 +639,12 @@ def cmd_table1(cfg, stage, out, grid, quiet):
     # replaced without a word, so they are refused
     L, r, s = cfg.scheme.L, cfg.scheme.r, cfg.scheme.s
     if s is None:
-        raise ConfigError(f"{cfg.source}: offsets must lie in one cell")
+        cfg.fail("scheme.offsets", "offsets must lie in one cell")
     families = [family(L, r, s) for family in _OFFSET_FAMILIES.values()]
     if cfg.scheme not in families:
-        raise ConfigError(f"{cfg.source}: table1 runs the equally spaced and "
-                          "chebyshev offsets of the scheme's (L, r, s); give "
-                          "scheme.offset_mode instead of scheme.offsets")
+        cfg.fail("scheme.offsets", "table1 runs the equally spaced and chebyshev "
+                 "offsets of the scheme's (L, r, s); give scheme.offset_mode "
+                 "instead of scheme.offsets")
     # resolved.cfg, written from the config, records the first family instead
     _write_resolved(replace(cfg, scheme=families[0]), stage)
     with (stage / "resolved.cfg").open("a") as fh:

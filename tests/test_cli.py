@@ -269,7 +269,7 @@ def test_convergence_counts_w_before_building_kernels(runner, tmp_path, order):
     res = runner.invoke(main, ["convergence", "--config", str(cfg),
                                "--out", str(tmp_path / "v")])
     assert res.exit_code == EXIT_CONFIG, res.output
-    assert res.stderr == f"config error: {cfg}: W.list needs at least three values\n"
+    assert res.stderr == f"config error: {cfg}:4: W.list needs at least three values\n"
 
 
 def test_table1_command(runner, tmp_path):
@@ -499,8 +499,8 @@ def test_signal_expr_not_finite_is_one_line_on_stderr(tmp_path, sub):
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert res.returncode == EXIT_CONFIG
     [line] = res.stderr.splitlines()
-    assert re.fullmatch(r"config error: signal.expr 'np.sqrt\(t\)' is not finite "
-                        r"at t = -[0-9.]+: nan", line)
+    assert re.fullmatch(rf"config error: {re.escape(str(cfg))}:16: signal.expr "
+                        r"'np.sqrt\(t\)' is not finite at t = -[0-9.]+: nan", line)
 
 
 def _assert_out_left_as_found(runner, tmp_path, monkeypatch, args, code):
@@ -625,7 +625,7 @@ def test_table1_refuses_offsets_it_would_replace(runner, tmp_path, name, code):
                                str(tmp_path / "t"), "--quiet"])
     assert res.exit_code == code, res.output
     if code == EXIT_CONFIG:
-        assert f"config error: {cfg}: " in res.output
+        assert f"config error: {cfg}:6: " in res.output
         assert "give scheme.offset_mode" in res.output
         assert not (tmp_path / "t").exists()
 
@@ -649,6 +649,22 @@ CONFIG_ERRORS = {
                     "scheme.L = 3 but 4 offsets given"),
     "s_disagrees": ("check-cis", _OFFSETS + "scheme.s = 1\n", 3,
                     "scheme.s = 1 but offsets lie in cell [0, 1)"),
+    # scheme.s used to be dropped without a word when the offsets span cells
+    "s_with_split_cells": ("check-cis", "generator.order = 4\n"
+                           "scheme.offsets = 0.5, 2.5\nscheme.r = 2\nscheme.s = 0\n",
+                           4, "scheme.s = 0 but offsets span cells"),
+    # each SamplingScheme refusal on the line of the key that caused it; all
+    # used to name the scheme.offsets or scheme.offset_mode line
+    "r_zero": ("check-cis", _MODE + "scheme.r = 0\n", 4,
+               "derivative count must be a positive integer, got 0"),
+    "r_zero_with_offsets": ("check-cis", _OFFSETS + "scheme.r = 0\n", 3,
+                            "derivative count must be a positive integer, got 0"),
+    "L_zero": ("check-cis", "generator.order = 4\nscheme.offset_mode = chebyshev\n"
+               "scheme.L = 0\n", 3, "at least one offset is required"),
+    "s_below_the_period": ("check-cis", _MODE + "scheme.s = -1\n", 4,
+                           "offsets must lie in [0, 4)"),
+    "s_beyond_the_period": ("check-cis", _MODE + "scheme.s = 9\n", 4,
+                            "offsets must lie in [0, 4)"),
     "no_offsets": ("check-cis", "generator.order = 4\n", None,
                    "scheme.offsets or scheme.offset_mode is required"),
     "offsets_unordered": ("check-cis", "generator.order = 4\n"
@@ -657,7 +673,7 @@ CONFIG_ERRORS = {
     "expr_raises": ("check-cis", _MODE + "signal.expr = np.left_shift(t, 1)\n", 4,
                     "signal.expr failed to evaluate: "),
     "table1_split_cells": ("table1", "generator.order = 4\nscheme.offsets = 0.5, 2.5\n"
-                           "scheme.r = 2\n", None, "offsets must lie in one cell"),
+                           "scheme.r = 2\n", 2, "offsets must lie in one cell"),
     "epsilons_and_eps0": ("predict", _MODE + "prediction.epsilons = 4, 5, 6, 7\n"
                           "prediction.eps0 = 4\n", 5,
                           "give either prediction.epsilons or prediction.eps0"),
@@ -776,6 +792,43 @@ def test_config_errors_name_the_offending_line(runner, tmp_path, case):
     assert f"config error: {where}: {message}" in res.output
 
 
+# Refusals made once the config is resolved, by case: (subcommand, shipped
+# config, (line, its replacement) or None, key at fault).  Each used to name
+# the file but no line.
+RUN_REFUSALS = {
+    "convergence_short_w": ("convergence", "quartic_r1",
+                            ("W.list = 5, 7, 10, 15, 20, 25, 30", "W.list = 5, 10"),
+                            "W.list"),
+    "table1_split_cells": ("table1", "cubic_split_cells", None, "scheme.offsets"),
+    "table1_not_a_family": ("table1", "quartic_hermite", None, "scheme.offsets"),
+    **{f"{sub}_not_compact": (sub, "quartic_split_cells", None, "scheme.offsets")
+       for sub in ("kernels", "moments", "predict", "convergence")},
+    **{f"{sub}_expr_not_finite": (sub, "quartic_r1",
+                                  ("signal.name = f", "signal.expr = np.sqrt(t)"),
+                                  "signal.expr")
+       for sub in ("predict", "convergence")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_REFUSALS))
+def test_refusals_in_the_run_name_the_key_line(runner, tmp_path, case):
+    sub, name, edit, key = RUN_REFUSALS[case]
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(*edit)
+    line = next(n for n, entry in enumerate(text.splitlines(), start=1)
+                if entry.startswith(f"{key} ="))
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    res = runner.invoke(main, [sub, "--config", str(cfg), "--out",
+                               str(tmp_path / "o"), "--quiet"])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    [message] = res.stderr.splitlines()
+    assert message.startswith(f"config error: {cfg}:{line}: "), message
+    assert not (tmp_path / "o").exists()
+
+
 # Numbers that parse but are not finite, by case: (subcommand, config text,
 # line of the key, key, value named).  Each used to reach the pipeline: a
 # traceback (exit 1) from float's integer ratio or lp_error, or a refusal
@@ -826,7 +879,7 @@ def test_header_only_signal_file_is_one_line_on_stderr(tmp_path):
 
 
 def _assert_same_run(again, cfg):
-    """Every RunConfig field but the source agrees (generators by descriptor,
+    """Every RunConfig field but its refusal agrees (generators by descriptor,
     signals by name, window and values)."""
     ts = np.linspace(-8.0, 10.0, 181)
     for field in fields(RunConfig):
@@ -836,7 +889,7 @@ def _assert_same_run(again, cfg):
         if field.name == "signal":
             want, got = ((sig.name, sig.interval, [d(ts).tolist() for d in sig.derivs])
                          for sig in (want, got))
-        if field.name != "source":
+        if field.name != "fail":
             assert got == want, field.name
 
 
@@ -875,7 +928,7 @@ def test_a_cis_whose_kernels_leave_the_cell_is_refused_by_name(runner, tmp_path)
                                str(tmp_path / "k"), "--quiet"])
     assert res.exit_code == EXIT_CONFIG
     assert res.stderr.splitlines() == [
-        f"config error: {cfg}: the kernels would need phi(t - k) at k = -2, "
+        f"config error: {cfg}:2: the kernels would need phi(t - k) at k = -2, "
         "outside the shifts -1..0 that offsets in the cell [0, 1) allow; "
         "choose other scheme.offsets or scheme.r"]
     assert not (tmp_path / "k").exists()
