@@ -222,8 +222,10 @@ def _signal_from_file(path: str, fail) -> TestSignal:
             # an empty table is refused below in one line, not also warned of
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if len(rows) == 0:
-            fail("signal.file", f"signal.file {path} has no data rows")
+        # one row would make a window of span 0, where every error reads 0
+        if len(rows) < 2:
+            fail("signal.file", f"signal.file {path} has " + (
+                "one data row; its t span needs two" if len(rows) else "no data rows"))
         ts, vs = rows[:, 0], rows[:, 1]
     except (OSError, ValueError, IndexError) as exc:
         fail("signal.file", f"cannot read signal.file {path}: {exc}")
@@ -372,9 +374,11 @@ def _resolve_config(text: str, source: str) -> RunConfig:
     scheme = _resolve_scheme(v, fail, gen)
     eps = _resolve_prediction(v, fail, scheme)
     signal, signal_entry = _resolve_signal(v, fail, scheme)
+    if not v["W.list"]:
+        fail("W.list", "W.list needs at least one value")
     if any(w <= 0 for w in v["W.list"]):
         fail("W.list", "all W values must be positive")
-    W = max(v["W.list"], default=0.0)
+    W = max(v["W.list"])
     span = signal.interval[1] - signal.interval[0]
     if 400.0 * W * span > _QUAD_POINTS:
         key, what = (("signal.file", f"signal.file {v['signal.file']}")

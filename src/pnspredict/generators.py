@@ -2,8 +2,8 @@
 
 A generator phi is a compactly supported function on [0, mu] whose integer
 shifts span the space V(phi).  Two kinds are provided: cardinal B-splines
-Q_m (exact piece polynomials) and Daubechies scaling functions (dyadic
-refinement table).
+Q_m (exact piece polynomials) and Daubechies scaling functions (a coarse
+dyadic table, refined by products of the refinement matrices).
 
 Each generator reads phi one unit piece at a time: `piece(q, u, s)` is
 phi^(s)(q + u) for an integer q and u in [0, 1].  Generators define only
@@ -35,6 +35,8 @@ __all__ = [
 # Daubechies table run block by block, so their temporaries stay this small
 # whatever the input size: below glibc's default mmap threshold (128 KiB),
 # where malloc reuses freed memory instead of mapping fresh pages each time.
+# A Daubechies piece holds mu entries per point, so its generator's blocks
+# (`Generator._block`) hold _BLOCK // mu points.
 _BLOCK = 8192
 
 
@@ -51,6 +53,7 @@ class Generator:
     mu: float
     regularity: int
     approx_order: int   # Strang-Fix: the shifts reproduce degree < approx_order
+    _block = _BLOCK     # points per block of eval and _expand
 
     def eval(self, t, s: int = 0):
         """phi^(s)(t): piece(floor(t), t - floor(t), s) on [0, mu), zero off
@@ -58,13 +61,13 @@ class Generator:
         arr = np.asarray(t)
         out = np.empty(arr.shape)
         flat, flat_out = arr.reshape(-1), out.reshape(-1)
-        for a in range(0, arr.size, _BLOCK):
-            tb = np.asarray(flat[a:a + _BLOCK], dtype=float)
+        for a in range(0, arr.size, self._block):
+            tb = np.asarray(flat[a:a + self._block], dtype=float)
             off = (tb < 0.0) | (tb >= self.mu)
             x = np.where(off, 0.0, tb)
             # fmax sends a NaN t to piece 0, where u = NaN carries it through
             q = np.fmax(np.floor(x), 0.0)
-            flat_out[a:a + _BLOCK] = np.where(
+            flat_out[a:a + self._block] = np.where(
                 off, 0.0, self.piece(q.astype(np.intp), x - q, s))
         return float(out) if arr.ndim == 0 else out
 
@@ -250,13 +253,18 @@ def _refinement_residual(h, values, level: int) -> float:
     return float(np.abs(acc - ints).max())
 
 
+def _refinement_matrix(filt, first: int, lo: int, hi: int) -> np.ndarray:
+    """T[i - lo, j - lo] = f_(2i - j) on i, j = lo..hi-1, f_m = filt[m - first]
+    (zero off filt)."""
+    idx = np.arange(lo, hi)
+    m = 2 * idx[:, None] - idx[None, :] - first
+    return np.where((m >= 0) & (m < len(filt)), filt.take(m, mode="clip"), 0.0)
+
+
 def _refinement_fixed_point(filt, first: int, lo: int, hi: int) -> np.ndarray:
     """v_i on i = lo..hi-1 with v_i = sum_j f_(2i - j) v_j, f_m = filt[m - first],
     normalised to sum v = 1."""
-    idx = np.arange(lo, hi)
-    m = 2 * idx[:, None] - idx[None, :] - first
-    T = np.where((m >= 0) & (m < len(filt)), filt.take(m, mode="clip"), 0.0)
-    evals, evecs = np.linalg.eig(T)
+    evals, evecs = np.linalg.eig(_refinement_matrix(filt, first, lo, hi))
     i = int(np.argmin(np.abs(evals - 1.0)))
     if abs(evals[i] - 1.0) > 1e-8:
         raise RuntimeError("refinement matrix has no unit eigenvalue")
@@ -264,22 +272,64 @@ def _refinement_fixed_point(filt, first: int, lo: int, hi: int) -> np.ndarray:
     return v / v.sum()
 
 
+# Bits of a Daubechies point read through refinement-matrix products; the
+# bits below them index the cascade's table.
+_PRODUCT_BITS = 8
+
+
+@lru_cache(maxsize=8)
+def _daubechies_arrays(d: int, level: int, low: int) -> tuple:
+    """(taps, rows, products) that give db_d's values of level `level` from
+    the cascade's table of level `low` and products of n = level - low
+    refinement matrices.
+
+    With mu = 2d - 1 and v(y) = (phi(y), ..., phi(y + mu - 1)), the
+    refinement equation reads v((b + y) / 2) = T_b v(y) for b = 0, 1 and y
+    in [0, 1], T_b[i, j] = sqrt(2) h_(2i + b - j) on i, j = 0..mu-1.  So
+    v(0.b1..bn + 2^-n y) = P_p v(y) with P_p = T_b1 ... T_bn, p the pattern
+    of binary digits b1..bn, b1 the highest.
+
+    rows[j, k] = phi(j + k 2^-low) for k = 0..2^low, the coarse table
+    v(k 2^-low) stored entry by entry; products[j, q, p] = P_p[q, j].
+    """
+    taps, values = _daubechies_table(d, low)
+    rows = np.lib.stride_tricks.sliding_window_view(values, (1 << low) + 1)[::1 << low]
+    T = [_refinement_matrix(sqrt(2.0) * taps, -b, 0, len(rows)) for b in (0, 1)]
+    prods = np.eye(len(rows))[None]
+    for _ in range(level - low):
+        # a new highest digit b multiplies from the left
+        prods = np.concatenate([T[0] @ prods, T[1] @ prods])
+    return taps, rows.copy(), prods.transpose(2, 1, 0).copy()
+
+
 class DaubechiesGenerator(Generator):
     """Daubechies scaling function of order d: support [0, 2d-1].
 
-    Evaluation interpolates linearly between exact dyadic-grid values; the
-    default depth keeps the interpolation error near 1e-6 despite the low
-    Hoelder regularity.  Only function values are exposed (regularity 0).
+    Evaluation interpolates linearly between the dyadic values of level
+    `level`; the default depth keeps the interpolation error near 1e-6
+    despite the low Hoelder regularity.  Only function values are exposed
+    (regularity 0).
+
+    Those values are not stored (`_daubechies_arrays`).  A point u in [0, 1)
+    splits into its top n = min(level, 8) bits p and the rest y.  The
+    cascade's table of level `level` - n, interpolated linearly at y, gives
+    v(y) = (phi(y), ..., phi(y + mu - 1)), and the product P_p of n
+    refinement matrices maps it to v(u).  P_p is linear, so each piece is
+    still the linear interpolation of level-`level` values.
     """
 
     kind = "daubechies"
 
     def __init__(self, d: int = 3, level: int = 18):
-        # checked before the cached table, which int-valued floats would hit
+        # checked before the cached arrays, which int-valued floats would hit
         self.level = _integer_at_least(level, 1, "refinement level")
         self.d = _integer_at_least(d, 2, "Daubechies order")
-        self.taps, self._values = _daubechies_table(self.d, self.level)
+        self._low = self.level - min(self.level, _PRODUCT_BITS)
+        self.taps, self._rows, self._products = _daubechies_arrays(self.d, self.level,
+                                                                   self._low)
         self.mu = float(2 * self.d - 1)
+        # a piece holds mu values per point, so a block holds 1/mu the points
+        self._block = _BLOCK // (2 * self.d - 1)
         self.regularity = 0
         self.approx_order = self.d    # the wavelet's d vanishing moments
 
@@ -289,33 +339,46 @@ class DaubechiesGenerator(Generator):
         return super().eval(t, s)
 
     def piece(self, q, u, s: int = 0) -> np.ndarray:
-        """phi(q + u) straight from the dyadic table, as np.interp reads it.
-
-        The table steps by 2^-level, so u * 2^level and the slope are exact
-        and the linear interpolation rounds as np.interp's does.
-        """
+        """phi(q + u): row q of P_p v(y), summed in the order of j."""
         if s != 0:
             raise ValueError("Daubechies generator exposes function values only")
-        cell, frac = self._cell(u)
-        return self._interp(cell + q * (1 << self.level), frac)
+        top, v = self._split(u)
+        # P_p[q, j] for every j, with row j of the products read as one run
+        at = top + (q << (self.level - self._low))
+        v *= self._products.reshape(len(v), -1).take(at, axis=1)
+        val = v[0]
+        for term in v[1:]:
+            val += term
+        return val
 
     def pieces(self, u):
-        """Every piece at the same u, with the cell of u found once."""
-        cell, frac = self._cell(u)
-        for q in range(ceil(self.mu)):
-            yield self._interp(cell + (q << self.level), frac)
+        """Every piece at the same u, as `piece` gives it bit for bit: all
+        rows of one product P_p v(y), summed in the order of j."""
+        top, v = self._split(u)
+        out = self._products[0].take(top, axis=1)
+        out *= v[0]
+        term = np.empty_like(out)
+        for j in range(1, len(v)):
+            self._products[j].take(top, axis=1, out=term, mode="clip")
+            term *= v[j]
+            out += term
+        return iter(out)
 
-    def _cell(self, u):
-        """Table index of u's cell in piece 0, and u's fraction of it."""
+    def _split(self, u):
+        """u's top bits p, and v(y) at the bits below: the coarse rows
+        interpolated as np.interp reads a table (u 2^level and the slope
+        are exact), one row per entry."""
         scale = 1 << self.level
         pos = u * scale
-        # fmin/fmax clamp a NaN u to a valid cell; the NaN returns through frac
-        cell = np.fmax(np.fmin(np.floor(pos), scale - 1), 0)
-        return cell.astype(np.intp), pos - cell
-
-    def _interp(self, idx, frac):
-        lo = self._values[idx]
-        return lo + (self._values[idx + 1] - lo) * frac
+        # fmin/fmax clamp a NaN u to a valid cell; the NaN returns through v
+        cell = np.fmax(np.fmin(np.floor(pos), scale - 1), 0).astype(np.intp)
+        idx = cell & ((1 << self._low) - 1)
+        lo = self._rows.take(idx, axis=1)
+        v = self._rows.take(idx + 1, axis=1)
+        v -= lo
+        v *= pos - cell
+        v += lo
+        return cell >> self._low, v
 
     def descriptor(self) -> dict:
         return {"kind": "daubechies", "order": self.d, "level": self.level}
@@ -352,7 +415,7 @@ def _expand(gen: Generator, coefs, start, nodes, weights, x) -> np.ndarray:
 
     Every point is computed from its own x with elementwise operations in a
     fixed order, so its value does not depend on the other points, and the
-    points go through in blocks of _BLOCK entries.
+    points go through in blocks of gen._block entries.
     """
     x = np.asarray(x, dtype=float)
     coefs = np.asarray(coefs, dtype=float)
@@ -377,7 +440,7 @@ def _expand(gen: Generator, coefs, start, nodes, weights, x) -> np.ndarray:
         classes.append((delta, start + lo, b))   # b[:, j] multiplies phi(y - k0 - j)
     out = np.zeros((len(coefs), x.size))
     flat = x.reshape(-1)
-    step = max(_BLOCK // len(coefs), 1)
+    step = max(gen._block // len(coefs), 1)
     for a in range(0, x.size, step):
         xb, ob = flat[a:a + step], out[:, a:a + step]
         for delta, k0, b in classes:

@@ -724,6 +724,10 @@ CONFIG_ERRORS = {
                                4, "cannot read signal.file {tmp}/one.csv: "),
     "header_only_signal_file": ("check-cis", _MODE + "signal.file = {tmp}/header.csv\n",
                                 4, "signal.file {tmp}/header.csv has no data rows"),
+    # a window of span 0 used to score every W at an error of exactly 0.0
+    "one_row_signal_file": ("predict", _MODE + "signal.file = {tmp}/one_row.csv\n",
+                            4, "signal.file {tmp}/one_row.csv has one data row; "
+                            "its t span needs two"),
     "unsorted_signal_file": ("check-cis", _MODE + "signal.file = {tmp}/unsorted.csv\n",
                              4, "the t column of signal.file {tmp}/unsorted.csv is "
                              "not strictly increasing: 1 then 0"),
@@ -746,6 +750,7 @@ def _write_signal_files(tmp_path):
     (tmp_path / "ragged.csv").write_text("t,v\n0,1\n1,2,3\n")
     (tmp_path / "one.csv").write_text("t\n0\n1\n")
     (tmp_path / "header.csv").write_text("t,v\n")
+    (tmp_path / "one_row.csv").write_text("t,v\n1,2\n")
     (tmp_path / "unsorted.csv").write_text("t,v\n1,1\n0,0\n2,4\n")
     (tmp_path / "nan.csv").write_text("t,v\n0,1\n0.5,nan\n1,2\n")
     (tmp_path / "inf.csv").write_text("t,v\n0,1\n1,2\ninf,3\n")
@@ -775,6 +780,19 @@ def test_every_subcommand_refuses_nodes_on_their_line(runner, tmp_path, sub, cas
                                "--out", str(tmp_path / "o")])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert res.stderr == f"config error: {cfg}:{line}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sub", ["check-cis", "kernels", "moments", "predict",
+                                 "convergence", "table1"])
+def test_every_subcommand_refuses_an_empty_w_list(runner, tmp_path, sub):
+    # predict and table1 used to exit 0 with a CSV of a header and no rows
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_MODE + "W.list =\n")
+    res = runner.invoke(main, [sub, "--config", str(cfg),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert res.stderr == f"config error: {cfg}:4: W.list needs at least one value\n"
     assert not (tmp_path / "o").exists()
 
 

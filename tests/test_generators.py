@@ -14,7 +14,7 @@ from pnspredict import generators
 from pnspredict.generators import (_BLOCK, BSplineGenerator, DaubechiesGenerator,
                                    Generator, _autocorrelation, _bspline_pieces,
                                    _circle_extremes, _daubechies_table, _expand,
-                                   _refinement_fixed_point,
+                                   _refinement_fixed_point, _refinement_matrix,
                                    _refinement_residual, _tap_sum, daubechies_taps,
                                    generator_from_descriptor, stability_bounds)
 from pnspredict.moments import reproduction_order
@@ -209,9 +209,13 @@ def test_daubechies_integer_values(db3):
     for k, v in want.items():
         assert db3.eval(float(k)) == pytest.approx(v, abs=1e-9)
     assert sum(db3.eval(float(k)) for k in range(6)) == pytest.approx(1.0, abs=1e-12)
-    # at an integer the piece returns the refinement fixed point itself
-    assert [db3.eval(float(k)) for k in range(6)] == \
-        db3._values[::1 << db3.level].tolist()
+    # at an integer the piece is the refinement fixed point carried through
+    # P_0 = T_0^n, which holds it fixed up to rounding; phi(0) = 0 exactly,
+    # since row 0 of T_0 is (sqrt(2) h_0, 0, ..., 0)
+    fixed = _daubechies_table(3, 0)[1]
+    got = np.array([db3.eval(float(k)) for k in range(6)])
+    assert np.abs(got - fixed).max() <= 1e-14
+    assert got[0] == 0.0 and got[5] == 0.0
 
 
 def test_daubechies_refinement_identity(db3):
@@ -238,10 +242,11 @@ def test_daubechies_rejects_derivatives(db3):
 
 
 @pytest.mark.parametrize("gen", [BSplineGenerator(m) for m in range(1, 7)]
-                         + [DaubechiesGenerator(d) for d in (2, 3, 4)], ids=repr)
+                         + [DaubechiesGenerator(d) for d in range(2, 9)], ids=repr)
 def test_scalar_eval_matches_the_array_path(gen):
     # a float is read as a 1-point array; it must agree bit for bit with the
-    # same point in a batch, sign of zero included
+    # same point in a batch, sign of zero included.  db5 to db8 sum mu >= 9
+    # products per piece, where a pairwise sum would change with the batch.
     ts = np.concatenate([np.random.default_rng(7).uniform(-1.0, gen.mu + 1.0, 2000),
                          np.arange(-1.0, gen.mu + 2.0), [-0.0, np.nextafter(gen.mu, 0),
                                                           -np.inf, np.inf]])
@@ -254,18 +259,94 @@ def test_scalar_eval_matches_the_array_path(gen):
                 assert np.float64(got).tobytes() == w.tobytes(), (t, s)
 
 
-@pytest.mark.parametrize("d", (2, 3, 4))
+def _product_gain(gen):
+    """pi: the largest row-sum norm of a product of at most n = min(level, 8)
+    refinement matrices T_b[i, j] = sqrt(2) h_(2i + b - j), and 1."""
+    filt = sqrt(2.0) * gen.taps
+    mu = len(filt) - 1
+    T = np.stack([_refinement_matrix(filt, -b, 0, mu) for b in (0, 1)])
+    prods, gain = np.eye(mu)[None], 1.0
+    for _ in range(min(gen.level, generators._PRODUCT_BITS)):
+        prods = (T[:, None] @ prods[None]).reshape(-1, mu, mu)
+        gain = max(gain, float(np.abs(prods).sum(axis=2).max()))
+    return gain
+
+
+def _interp_bound(gen, table):
+    """A bound on |piece - interpolated table| argued to first order.
+
+    Both start from the same coarse values: the cascade's entries of level
+    level - n, which the level-`level` table holds bit for bit.  From there
+    each makes n refinement steps.  A step's value is a sum of at most 2d
+    tap products, so it errs by at most gamma tau Phi, with
+    gamma = 2d eps / (1 - 2d eps), tau = sum_k |sqrt(2) h_k| (the row sums
+    of |T_b|) and Phi = max |phi|; each later step carries that error on
+    with a gain of at most pi (`_product_gain`).
+    - The table: n steps and one interpolation, n pi gamma tau Phi + 3 eps Phi.
+    - The pieces: each of the n products that make P_p errs by gamma tau pi,
+      carried on by pi, so P_p errs by n gamma tau pi^2; the interpolated
+      rows err by 3 eps Phi, carried on by pi; the last sum of mu products
+      errs by gamma pi Phi.
+    With pi, tau >= 1 and 3 eps <= gamma, the two together stay below
+    (2n + 3) gamma tau pi^2 Phi.
+    """
+    eps = np.finfo(float).eps
+    n = min(gen.level, generators._PRODUCT_BITS)
+    gamma = 2 * gen.d * eps / (1 - 2 * gen.d * eps)
+    tau = float(np.abs(sqrt(2.0) * gen.taps).sum())
+    return (2 * n + 3) * gamma * tau * _product_gain(gen) ** 2 * np.abs(table).max()
+
+
+@pytest.mark.parametrize("d", range(2, 12))
 def test_daubechies_eval_matches_interp_on_the_table(d):
-    # linear interpolation of the dyadic table, zero off (0, mu)
-    gen = DaubechiesGenerator(d)
-    grid = np.arange(len(gen._values)) * 2.0 ** (-gen.level)
+    # linear interpolation of the dyadic table, read through pieces and
+    # through eval, zero off (0, mu): db2-db4 at the default level 18;
+    # db5-db11 at level 12, where the same 8 product bits meet a level-4
+    # table, so that their reference tables are quick to build
+    gen = DaubechiesGenerator(d, 18 if d <= 4 else 12)
+    taps, table = _daubechies_table.__wrapped__(d, gen.level)
+    assert taps.tobytes() == gen.taps.tobytes()
+    # the coarse values both paths start from, as the bound assumes
+    n = min(gen.level, generators._PRODUCT_BITS)
+    assert table[::1 << n].tobytes() == _daubechies_table(d, gen.level - n)[1].tobytes()
+    bound = _interp_bound(gen, table)
+    # db2-db4 are the generators the configs use
+    if d <= 4:
+        bound = min(bound, 1e-14)
     rng = np.random.default_rng(d)
-    ts = np.concatenate([rng.uniform(-1.0, gen.mu + 1.0, 200_000),
+    u = rng.uniform(0.0, 1.0, 100_000)
+    pos = u * 2.0 ** gen.level
+    cell = np.floor(pos).astype(np.intp)
+    # in the blocks _expand reads them in
+    got = np.hstack([list(gen.pieces(u[a:a + gen._block]))
+                     for a in range(0, len(u), gen._block)])
+    for q, val in enumerate(got):
+        lo = table[cell + (q << gen.level)]
+        want = lo + (table[cell + (q << gen.level) + 1] - lo) * (pos - cell)
+        assert np.abs(val - want).max() <= bound, q
+    grid = np.arange(len(table)) * 2.0 ** (-gen.level)
+    ts = np.concatenate([rng.uniform(-1.0, gen.mu + 1.0, 100_000),
                          np.linspace(-1.0, gen.mu + 1.0, 1601)])
-    want = np.interp(ts, grid, gen._values, left=0.0, right=0.0)
-    want[(ts <= 0.0) | (ts >= gen.mu)] = 0.0
-    assert np.array_equal(gen.eval(ts), want)
+    want = np.interp(ts, grid, table, left=0.0, right=0.0)
+    got = gen.eval(ts)
+    off = (ts <= 0.0) | (ts >= gen.mu)
+    assert np.all(got[off] == 0.0)
+    assert np.abs(got - want).max() <= bound
     assert np.isnan(gen.eval(np.nan))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_daubechies_arrays_stay_small(d):
+    # the coarse table grows as 2^(level - 8), the products not at all; a
+    # level-18 table held 6.3-14.7 MB for these orders
+    def arrays(level):
+        gen = DaubechiesGenerator(d, level)
+        return {k: v.nbytes for k, v in vars(gen).items() if isinstance(v, np.ndarray)}
+    at = {level: arrays(level) for level in (8, 12, 18)}
+    assert sum(at[18].values()) < 256 * 1024
+    for level in (12, 18):
+        for name, nbytes in at[level].items():
+            assert nbytes <= at[8][name] << (level - 8), (name, level)
 
 
 def test_daubechies_level_controls_resolution():
